@@ -71,15 +71,14 @@ SpAttenAccelerator::stepDecodeBatch(
     std::vector<double>& seconds_out) const
 {
     seconds_out.resize(lanes.size());
-    // Downcast once; a foreign session type in the batch (a scheduler
-    // bug, but cheap to tolerate) falls back to the serial default.
+    // Downcast once; a foreign session type in the batch is a scheduler
+    // bug.
     std::vector<DecodeSession*> sess(lanes.size());
     for (std::size_t i = 0; i < lanes.size(); ++i) {
         sess[i] = dynamic_cast<DecodeSession*>(lanes[i]);
-        if (!sess[i]) {
-            AcceleratorBackend::stepDecodeBatch(lanes, seconds_out);
-            return;
-        }
+        SPATTEN_ASSERT(sess[i] != nullptr,
+                       "lane %zu of a SpAtten decode batch is not a "
+                       "SpAtten session", i);
     }
     // Open every lane's pass, then advance all lanes layer-major.
     // Lanes served whole from the replay memo return 0 owed layers and

@@ -76,9 +76,7 @@ class SpAttenAccelerator : public AcceleratorBackend
     std::string backendName() const override { return "spatten"; }
     BackendCapabilities capabilities() const override
     {
-        return {/*cascade_pruning=*/true, /*progressive_quant=*/true,
-                /*dram_savings=*/true, /*chunked_prefill=*/true,
-                /*tiered_kv=*/true};
+        return {/*cascade_pruning=*/true};
     }
     /** KV byte budget = the HBM stack capacity of this configuration. */
     std::uint64_t capacityBytes() const override
@@ -99,7 +97,8 @@ class SpAttenAccelerator : public AcceleratorBackend
      * with per-request lanes. Lanes whose step the replay memo serves
      * whole complete at begin and sit out the layer loop. Sessions
      * share no state, so the result is bit-identical to the serial
-     * default (pinned by tests/test_batched_decode.cpp).
+     * default (pinned by tests/test_batched_decode.cpp). Every lane
+     * must be a session this backend made.
      */
     void stepDecodeBatch(const std::vector<BackendSession*>& lanes,
                          std::vector<double>& seconds_out) const override;

@@ -58,16 +58,6 @@ class A3Backend : public AcceleratorBackend
     }
 
     std::string backendName() const override { return "a3"; }
-    BackendCapabilities capabilities() const override
-    {
-        // Local (post-fetch) key pruning only: no KV shrink, no DRAM
-        // savings, no quantization support. Its one-shot prefill model
-        // scales linearly with the query x context product, so split
-        // prefill chunks price cleanly. Dense KV has no layout pinned
-        // to HBM addresses, so tiered KV migration is safe.
-        return {false, false, false, /*chunked_prefill=*/true,
-                /*tiered_kv=*/true};
-    }
     std::uint64_t capacityBytes() const override
     {
         return capacity_bytes_;
@@ -98,12 +88,6 @@ class MnnFastBackend : public AcceleratorBackend
     }
 
     std::string backendName() const override { return "mnnfast"; }
-    BackendCapabilities capabilities() const override
-    {
-        // Local value pruning after fetch: compute-only savings.
-        return {false, false, false, /*chunked_prefill=*/true,
-                /*tiered_kv=*/true};
-    }
     std::uint64_t capacityBytes() const override
     {
         return capacity_bytes_;
@@ -132,12 +116,6 @@ class PlatformBackend : public AcceleratorBackend
     }
 
     std::string backendName() const override { return spec_.name; }
-    BackendCapabilities capabilities() const override
-    {
-        // Dense fp32 PyTorch-style attention: no sparsity at all.
-        return {false, false, false, /*chunked_prefill=*/true,
-                /*tiered_kv=*/true};
-    }
     std::uint64_t capacityBytes() const override
     {
         return capacity_bytes_;

@@ -15,7 +15,6 @@ ActivityCounts::add(const ActivityCounts& o)
     sram_read_bytes += o.sram_read_bytes;
     sram_write_bytes += o.sram_write_bytes;
     dram_energy_pj += o.dram_energy_pj;
-    migration_bytes += o.migration_bytes;
     cycles += o.cycles;
     // freq_ghz is a property, not a counter; keep the existing value.
 }
@@ -37,11 +36,6 @@ EnergyReport::toString() const
     row("SRAM", sram_j);
     row("Leakage/Others", leakage_j);
     row("DRAM", dram_j);
-    // Tiered-KV runs only: HBM <-> far-memory block migration. Zero
-    // (and table-compatible with the paper's layout) when tiering is
-    // off.
-    if (migration_j > 0)
-        row("KV migration", migration_j);
     row("Total", totalJ());
     return s;
 }
@@ -60,8 +54,6 @@ EnergyModel::compute(const ActivityCounts& a) const
                 a.sram_write_bytes * cfg_.sram_write_pj_per_byte) *
                1e-12;
     r.dram_j = a.dram_energy_pj * 1e-12;
-    r.migration_j =
-        a.migration_bytes * 8.0 * cfg_.far_bit_energy_pj * 1e-12;
     r.leakage_j = cfg_.leakage_w * r.seconds;
     return r;
 }

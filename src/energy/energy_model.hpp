@@ -30,12 +30,6 @@ struct EnergyConfig
     double sram_read_pj_per_byte = 0.55;
     double sram_write_pj_per_byte = 0.65;
     double leakage_w = 0.121;        ///< "Others" static power.
-    /// Per bit migrated between the HBM hot tier and the far-memory
-    /// DRAM cold tier (tiered KV pool; FarMemoryConfig in hbm/hbm.hpp).
-    /// Commodity DDR4 array + IO + link PHY lands near 20 pJ/bit —
-    /// roughly 5x the on-stack HBM bit energy, which is what makes
-    /// migration traffic worth metering.
-    double far_bit_energy_pj = 20.0;
 };
 
 /** Activity counts accumulated by a simulation run. */
@@ -49,8 +43,6 @@ struct ActivityCounts
     double sram_read_bytes = 0;
     double sram_write_bytes = 0;
     double dram_energy_pj = 0; ///< Already computed by HbmModel.
-    double migration_bytes = 0; ///< HBM <-> far-memory KV block moves
-                                ///< (demotions + promotions).
     double cycles = 0;         ///< Elapsed core cycles.
     double freq_ghz = 1.0;     ///< Core clock.
 
@@ -67,7 +59,10 @@ struct EnergyReport
     double fetcher_j = 0;
     double sram_j = 0;
     double dram_j = 0;
-    double migration_j = 0; ///< Far-memory KV migration traffic.
+    /// Far-memory KV migration traffic. compute() leaves it 0: the
+    /// serving layer prices migration fleet-wide instead
+    /// (ServeReport::migration_energy_j).
+    double migration_j = 0;
     double leakage_j = 0;
     double seconds = 0;
 

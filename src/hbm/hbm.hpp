@@ -82,9 +82,8 @@ struct HbmConfig
  * tiered KV pool, after Hybrid2 (HPCA'20): the HBM stack is the hot
  * tier, and cold KV blocks migrate to a larger, slower DRAM pool over a
  * dedicated link instead of being dropped. The struct models only what
- * the serving layer needs — a capacity, and a latency + bandwidth cost
- * for each migration burst; per-bit migration energy lives with the
- * other energy constants (EnergyConfig::far_bit_energy_pj).
+ * the serving layer needs — a capacity, a latency + bandwidth cost for
+ * each migration burst, and the energy of every migrated bit.
  */
 struct FarMemoryConfig
 {
@@ -98,6 +97,10 @@ struct FarMemoryConfig
     /// Fixed per-burst access latency in microseconds (queue + far
     /// DRAM access + link turnaround).
     double latency_us = 0.5;
+    /// Energy per migrated bit in picojoules. Commodity DDR4 array + IO
+    /// + link PHY lands near 20 pJ/bit — roughly 5x the on-stack HBM
+    /// bit energy, which is what makes migration traffic worth metering.
+    double bit_energy_pj = 20.0;
 
     bool enabled() const { return capacity_gb > 0.0; }
 
@@ -121,6 +124,12 @@ struct FarMemoryConfig
             return 0.0;
         return latency_us * 1e-6 +
                static_cast<double>(bytes) / (bandwidth_gbs * 1e9);
+    }
+
+    /** Joules of migrating @p bytes over the link. */
+    double transferJoules(std::uint64_t bytes) const
+    {
+        return static_cast<double>(bytes) * 8.0 * bit_energy_pj * 1e-12;
     }
 };
 

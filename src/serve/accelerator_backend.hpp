@@ -30,37 +30,22 @@
 #include <vector>
 
 #include "accel/pipeline.hpp"
-#include "common/logging.hpp"
 
 namespace spatten {
 
 /**
- * Static capability description of one backend type. The scheduler's
- * capability-aware placement and the README capability matrix both read
- * these bits; they describe the *mechanism*, not a measured outcome.
+ * Static capability description of one backend type: the one property
+ * the scheduler's capability-aware placement routes on. It describes
+ * the *mechanism*, not a measured outcome. Every backend supports
+ * chunked prefill, prefix caching and tiered KV memory (the session
+ * contract below requires the first two; the third lives in KvPool and
+ * the scheduler, not the device model).
  */
 struct BackendCapabilities
 {
     /// Cascade token/head pruning shrinks the resident KV cache across
     /// passes (so a KvPool reservation keeps shrinking after prefill).
     bool cascade_pruning = false;
-    /// Progressive MSB/LSB quantization trims DRAM traffic further.
-    bool progressive_quant = false;
-    /// Any DRAM-traffic savings at all (pruning decided before fetch).
-    bool dram_savings = false;
-    /// Sessions support prefillChunk(): the prompt pass can be split
-    /// into scheduler-visible chunks (Sarathi-style chunked prefill).
-    /// Backends without it always prefill monolithically, even when
-    /// the scheduler's chunking knobs are on.
-    bool chunked_prefill = false;
-    /// The device tolerates tiered KV memory (serve/kv_pool.hpp with a
-    /// far-memory DRAM cold tier): demoted prefix blocks leave HBM and
-    /// re-land bit-identically on promotion, so sessions can extend a
-    /// promoted prefix exactly as a never-migrated one. The mechanism
-    /// lives in KvPool + the scheduler (not the device model), so every
-    /// stock backend supports it; a backend that pinned KV layout to
-    /// physical HBM addresses would clear this bit.
-    bool tiered_kv = false;
 };
 
 /**
@@ -84,15 +69,10 @@ class BackendSession
      * cache: the device skips those tokens' prefill compute (their K/V
      * is already resident) and computes only the suffix queries against
      * the full context. Must behave exactly like prefill() when
-     * @p cached_prefix_tokens is 0. The default ignores the hint — a
-     * backend without prefix-caching support still serves correctly,
-     * it just re-computes the shared tokens.
+     * @p cached_prefix_tokens is 0.
      */
-    virtual double prefillWithCachedPrefix(std::size_t cached_prefix_tokens)
-    {
-        (void)cached_prefix_tokens;
-        return prefill();
-    }
+    virtual double
+    prefillWithCachedPrefix(std::size_t cached_prefix_tokens) = 0;
 
     /**
      * Process prompt tokens [offset, offset + len) as one chunk of a
@@ -104,20 +84,8 @@ class BackendSession
      * chunk stream starts at the cached boundary — composing with
      * prefillWithCachedPrefix(), which is exactly the one-chunk case.
      * @return simulated seconds of the chunk's pass.
-     *
-     * The default supports only the degenerate single full chunk
-     * (delegating to prefillWithCachedPrefix) and asserts on a partial
-     * one; the scheduler only splits prefills on backends whose
-     * BackendCapabilities::chunked_prefill bit is set.
      */
-    virtual double prefillChunk(std::size_t offset, std::size_t len)
-    {
-        SPATTEN_ASSERT(offset + len == workload().summarize_len,
-                       "backend without chunked_prefill support was "
-                       "handed a partial prefill chunk [%zu, %zu)",
-                       offset, offset + len);
-        return prefillWithCachedPrefix(offset);
-    }
+    virtual double prefillChunk(std::size_t offset, std::size_t len) = 0;
 
     /** Generate one token; @return simulated seconds of the step. */
     virtual double decodeStep() = 0;
@@ -150,7 +118,8 @@ class AcceleratorBackend
     /** Short identifier ("spatten", "a3", ...) for reports/benches. */
     virtual std::string backendName() const = 0;
 
-    virtual BackendCapabilities capabilities() const = 0;
+    /** Default: a dense backend without cascade pruning. */
+    virtual BackendCapabilities capabilities() const { return {}; }
 
     /** Device KV-memory capacity (the default KvPool byte budget). */
     virtual std::uint64_t capacityBytes() const = 0;
@@ -183,9 +152,9 @@ class AcceleratorBackend
      * and results are bit-identical whichever path runs. A backend may
      * override it to traverse its stage graph once per iteration with
      * per-request lanes (SpAttenAccelerator advances all lanes
-     * layer-major), amortizing per-step dispatch and buffers; the
-     * scheduler routes all-decode iterations through this hook in one
-     * call instead of one thread-pool job per resident.
+     * layer-major), amortizing per-step dispatch and buffers. It is the
+     * scheduler's only decode path: every iteration advances all its
+     * prefilled residents through one call.
      */
     virtual void stepDecodeBatch(const std::vector<BackendSession*>& lanes,
                                  std::vector<double>& seconds_out) const

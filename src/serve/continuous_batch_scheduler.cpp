@@ -13,7 +13,6 @@
 
 #include "accel/spatten_accelerator.hpp"
 #include "common/logging.hpp"
-#include "energy/energy_model.hpp"
 #include "serve/accelerator_backend.hpp"
 
 namespace spatten {
@@ -51,15 +50,15 @@ struct AccelState
                                     ///< time (for the mean occupancy).
 };
 
-/** One session step to simulate this iteration. */
+/** One prompt pass to simulate this iteration (decode steps go through
+ *  the backend's batched lane API instead). */
 struct StepJob
 {
     BackendSession* session = nullptr;
     std::size_t member = 0; ///< Index into AccelState::active. Not every
                             ///< member gets a job every iteration once
                             ///< chunked prefill defers prompt work, so
-                            ///< jobs are no longer parallel to active[].
-    bool do_prefill = false;
+                            ///< jobs are not parallel to active[].
     bool chunked = false; ///< prefillChunk(offset, len) instead of the
                           ///< monolithic prefillWithCachedPrefix path.
     std::size_t offset = 0; ///< Chunk-only: first prompt token.
@@ -69,10 +68,11 @@ struct StepJob
 };
 
 /**
- * Persistent helper-thread pool for the per-iteration session steps.
+ * Persistent helper-thread pool for the per-iteration prompt passes;
+ * the calling thread advances the iteration's decode batch meanwhile.
  *
  * A scheduler run has one iteration per prefill/decode round — hundreds
- * for a modest trace — and each step simulates only microseconds of
+ * for a modest trace — and each pass simulates only microseconds of
  * work, so spawning threads per iteration would cost more than it
  * saves. The pool keeps num_threads-1 helpers parked on a condition
  * variable; run() publishes a job batch (a "generation"), drains it
@@ -106,10 +106,20 @@ class StepPool
             t.join();
     }
 
-    /** Execute every job once; blocks until all are complete. */
-    void run(std::vector<StepJob>& jobs)
+    /** Execute every job once and, on the calling thread, @p lanes'
+     *  decode batch on @p backend; blocks until all are complete. */
+    void run(std::vector<StepJob>& jobs, const AcceleratorBackend& backend,
+             const std::vector<BackendSession*>& lanes,
+             std::vector<double>& lane_seconds)
     {
-        if (helpers_.empty() || jobs.size() <= 1) {
+        const auto decode = [&] {
+            if (!lanes.empty())
+                backend.stepDecodeBatch(lanes, lane_seconds);
+        };
+        // Helpers pay off only with at least two work items to overlap.
+        if (helpers_.empty() || jobs.empty() ||
+            (jobs.size() == 1 && lanes.empty())) {
+            decode();
             for (auto& job : jobs)
                 step(job);
             return;
@@ -125,6 +135,7 @@ class StepPool
             ++generation_;
         }
         wake_cv_.notify_all();
+        decode();
         drain(jobs); // The caller is a worker too.
         // Full rendezvous: wait until every helper has drained *this*
         // generation. Waiting merely for parked helpers would let a
@@ -138,9 +149,7 @@ class StepPool
   private:
     static void step(StepJob& job)
     {
-        if (!job.do_prefill)
-            job.seconds = job.session->decodeStep();
-        else if (job.chunked)
+        if (job.chunked)
             job.seconds = job.session->prefillChunk(job.offset, job.len);
         else
             job.seconds =
@@ -241,6 +250,20 @@ ContinuousBatchScheduler::ContinuousBatchScheduler(
     sched_.num_accelerators = fleet_.size();
     SPATTEN_ASSERT(sched_.max_active >= 1, "batch width must be >= 1");
     SPATTEN_ASSERT(sched_.kv_block_tokens >= 1, "zero-token KV blocks");
+    if (sched_.far_memory.enabled()) {
+        // A bad link would otherwise surface as inf/NaN promotion
+        // stalls deep in a run; NaN fails these checks too.
+        const FarMemoryConfig& fm = sched_.far_memory;
+        SPATTEN_ASSERT(fm.bandwidth_gbs > 0,
+                       "far-memory bandwidth_gbs must be > 0, got %g",
+                       fm.bandwidth_gbs);
+        SPATTEN_ASSERT(fm.latency_us >= 0,
+                       "far-memory latency_us must be >= 0, got %g",
+                       fm.latency_us);
+        SPATTEN_ASSERT(fm.bit_energy_pj >= 0,
+                       "far-memory bit_energy_pj must be >= 0, got %g",
+                       fm.bit_energy_pj);
+    }
     if (sched_.kv_capacity_bytes == 0) {
         // A fleet of equal-capacity devices keeps the uniform-budget
         // report field meaningful; heterogeneous capacities stay
@@ -325,18 +348,11 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
     std::stable_sort(order.begin(), order.end(), queuedBefore);
 
     std::vector<AccelState> accels(num_accels);
-    for (std::size_t a = 0; a < num_accels; ++a) {
-        // A backend whose KV layout cannot migrate (capabilities().
-        // tiered_kv false) keeps a single-tier pool even when the
-        // fleet config asks for a far-memory tier.
-        const std::uint64_t dram_bytes =
-            fleet_[a]->capabilities().tiered_kv
-                ? sched_.far_memory.capacityBytes()
-                : 0;
+    for (std::size_t a = 0; a < num_accels; ++a)
         accels[a].pool = KvPool({slotBudget(a), sched_.kv_block_tokens,
                                  fleet_[a]->kvBytesPerElem(),
-                                 /*prefix_hash_bits=*/64, dram_bytes});
-    }
+                                 /*prefix_hash_bits=*/64,
+                                 sched_.far_memory.capacityBytes()});
 
     // ---- Routing classes ----
     // CapabilityAware keeps two shared queues: long prompts wait in a
@@ -345,18 +361,11 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
     // fleet every request is short-class (plain LeastLoaded).
     const bool cap_aware = sched_.shard == ShardPolicy::CapabilityAware;
     std::vector<char> slot_prunes(num_accels, 0);
-    std::vector<char> slot_chunks(num_accels, 0);
     bool fleet_has_pruner = false;
     for (std::size_t a = 0; a < num_accels; ++a) {
         slot_prunes[a] = fleet_[a]->capabilities().cascade_pruning;
-        slot_chunks[a] = fleet_[a]->capabilities().chunked_prefill;
         fleet_has_pruner |= slot_prunes[a] != 0;
     }
-    // Chunked prefill is engaged by either knob; with both at their
-    // 0 defaults the iteration loop is the legacy monolithic-prefill
-    // scheduler, bit for bit.
-    const bool chunking_on = sched_.prefill_chunk_tokens > 0 ||
-                             sched_.iteration_token_budget > 0;
     const auto isLongClass = [&](std::size_t idx) {
         return cap_aware && fleet_has_pruner &&
                trace[idx].workload.summarize_len >=
@@ -488,7 +497,6 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
         return std::max(accels[a].clock_s, head);
     };
 
-    std::size_t finished = 0;
     std::uint64_t admit_seq = 0;   ///< Global admission counter.
     // Residency intervals [admission, finish-or-eviction) in simulated
     // time, across all accelerators and incarnations. peak_concurrency
@@ -596,9 +604,30 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
         return true;
     };
 
+    // Land member @p m's completion if its step ending at @p t
+    // finished it.
+    std::size_t finished = 0;
+    const auto finishIfDone = [&](AccelState& accel, ActiveSession& m,
+                                  ServedRequest& r, double t) {
+        if (!m.session->done())
+            return;
+        // A 0-token request's "first token" is its prefill completion
+        // (the classification-style response).
+        if (r.first_token_s < 0)
+            r.first_token_s = t;
+        r.finish_s = t;
+        r.phase = RequestPhase::Finished;
+        r.kv_trace = m.session->kvTrace();
+        r.sim = m.session->finalize();
+        accel.pool.release(m.idx);
+        residency.emplace_back(r.admit_s, r.finish_s);
+        ++finished;
+    };
+
     std::vector<StepJob> jobs;
-    std::vector<BackendSession*> batch_lanes;
-    std::vector<double> batch_seconds;
+    std::vector<BackendSession*> lanes;
+    std::vector<std::size_t> lane_members; ///< active[] index per lane.
+    std::vector<double> lane_seconds;
     StepPool pool(sched_.num_threads);
     while (finished < n) {
         // ---- Pick the accelerator with the earliest next event ----
@@ -764,24 +793,22 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
                        "selected an accelerator with no admissible work");
         const std::uint64_t kv_used = accel.pool.usedBytes();
 
-        // ---- One iteration: decode steps for every prefilled
-        // resident, plus prompt work for the un-prefilled ones under
-        // the chunking knobs — in parallel on the host, applied in
-        // admission order. Prefilled residents form a prefix of
+        // ---- One iteration: one decode step for every prefilled
+        // resident, advanced together through the backend's batched
+        // lane API, plus prompt work for the un-prefilled ones under
+        // the chunking knobs, which the pool's helpers take while the
+        // coordinator runs the decode batch. Results apply
+        // in admission order: prefilled residents form a prefix of
         // active[] (admission appends, and prompt passes are granted
-        // in admission order), so "decodes first, then prompt work"
-        // IS admission order — with chunking off the job list is
-        // exactly the legacy one-job-per-member iteration. ----
-        jobs.clear();
-        jobs.reserve(accel.active.size());
-        std::size_t decode_count = 0;
+        // in admission order), so "decodes first, then prompt work" IS
+        // admission order. ----
+        lanes.clear();
+        lane_members.clear();
         for (std::size_t i = 0; i < accel.active.size(); ++i) {
-            ActiveSession& m = accel.active[i];
-            if (!m.session->prefilled())
+            if (!accel.active[i].session->prefilled())
                 continue;
-            jobs.push_back({m.session.get(), i, /*do_prefill=*/false,
-                            false, 0, 0, 0, 0.0});
-            ++decode_count;
+            lanes.push_back(accel.active[i].session.get());
+            lane_members.push_back(i);
         }
         // Prompt-work grants, in admission order. Each resident decode
         // step above costs one budget token; whole prompts that fit
@@ -792,10 +819,11 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
         // reservations stay put); decode steps are never deferred, so
         // the batch always advances and prefill work drains as
         // residents finish.
+        jobs.clear();
         std::size_t budget_left =
             sched_.iteration_token_budget > 0
-                ? (sched_.iteration_token_budget > decode_count
-                       ? sched_.iteration_token_budget - decode_count
+                ? (sched_.iteration_token_budget > lanes.size()
+                       ? sched_.iteration_token_budget - lanes.size()
                        : 0)
                 : std::numeric_limits<std::size_t>::max();
         for (std::size_t i = 0; i < accel.active.size(); ++i) {
@@ -806,56 +834,49 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
             if (w.skip_summarization) {
                 // Pre-summarized prompt: the pass is free, so it
                 // neither draws budget nor counts as the chunk.
-                jobs.push_back({m.session.get(), i, /*do_prefill=*/true,
-                                false, 0, 0, m.cached_prefix, 0.0});
+                jobs.push_back(
+                    {m.session.get(), i, false, 0, 0, m.cached_prefix, 0.0});
                 continue;
             }
             const std::size_t remaining = w.summarize_len - m.prefill_pos;
             if (budget_left == 0)
                 break;
-            std::size_t len = remaining;
-            if (chunking_on && slot_chunks[best] &&
-                sched_.prefill_chunk_tokens > 0)
+            std::size_t len = std::min(remaining, budget_left);
+            if (sched_.prefill_chunk_tokens > 0)
                 len = std::min(len, sched_.prefill_chunk_tokens);
-            if (chunking_on && slot_chunks[best])
-                len = std::min(len, budget_left);
             if (len == remaining && m.prefill_pos == m.cached_prefix) {
-                // First and only pass: the legacy monolithic path —
-                // also what chunk sizes >= the prompt reduce to, and
-                // the only shape a non-chunking backend supports.
-                jobs.push_back({m.session.get(), i, /*do_prefill=*/true,
-                                false, 0, 0, m.cached_prefix, 0.0});
+                // First and only pass: the monolithic path — also what
+                // chunk sizes >= the prompt reduce to.
+                jobs.push_back(
+                    {m.session.get(), i, false, 0, 0, m.cached_prefix, 0.0});
             } else {
-                jobs.push_back({m.session.get(), i, /*do_prefill=*/true,
-                                /*chunked=*/true, m.prefill_pos, len, 0,
-                                0.0});
+                jobs.push_back({m.session.get(), i, /*chunked=*/true,
+                                m.prefill_pos, len, 0, 0.0});
             }
-            budget_left -= std::min(len, budget_left);
+            budget_left -= len;
             if (len < remaining)
                 break; // At most one partial chunk per iteration.
         }
-        SPATTEN_ASSERT(!jobs.empty(),
+        SPATTEN_ASSERT(!lanes.empty() || !jobs.empty(),
                        "iteration with no work on accelerator %zu", best);
-        if (sched_.batched_decode && decode_count == jobs.size()) {
-            // All-decode iteration: one batched backend call replaces
-            // per-job pool dispatch. Lane order is job order, so the
-            // results land in the same slots the pool would fill.
-            batch_lanes.clear();
-            batch_lanes.reserve(jobs.size());
-            for (const StepJob& job : jobs)
-                batch_lanes.push_back(job.session);
-            fleet_[best]->stepDecodeBatch(batch_lanes, batch_seconds);
-            for (std::size_t j = 0; j < jobs.size(); ++j)
-                jobs[j].seconds = batch_seconds[j];
-        } else {
-            pool.run(jobs);
-        }
+        pool.run(jobs, *fleet_[best], lanes, lane_seconds);
 
         double t = accel.clock_s;
-        for (std::size_t j = 0; j < jobs.size(); ++j) {
-            ActiveSession& m = accel.active[jobs[j].member];
+        for (std::size_t j = 0; j < lanes.size(); ++j) {
+            ActiveSession& m = accel.active[lane_members[j]];
             ServedRequest& r = rep.requests[m.idx];
-            if (jobs[j].do_prefill && m.promote_s > 0) {
+            t += lane_seconds[j];
+            r.service_seconds += lane_seconds[j];
+            r.token_times_s.push_back(t);
+            ++r.tokens;
+            if (r.first_token_s < 0)
+                r.first_token_s = t;
+            finishIfDone(accel, m, r, t);
+        }
+        for (const StepJob& job : jobs) {
+            ActiveSession& m = accel.active[job.member];
+            ServedRequest& r = rep.requests[m.idx];
+            if (m.promote_s > 0) {
                 // The admission's DRAM -> HBM promotion burst completes
                 // before the first prompt pass can extend the promoted
                 // prefix, so its latency serializes into the iteration
@@ -868,37 +889,17 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
                 rep.promotion_stall_s += m.promote_s;
                 m.promote_s = 0;
             }
-            t += jobs[j].seconds;
-            r.service_seconds += jobs[j].seconds;
-            if (jobs[j].do_prefill) {
-                m.prefill_pos = jobs[j].chunked
-                                    ? jobs[j].offset + jobs[j].len
-                                    : trace[m.idx].workload.summarize_len;
-                ++r.prefill_chunks;
-                // TTFT semantics under chunking: the request stays in
-                // Prefill until its final chunk lands; its first token
-                // is the first decode completion after that.
-                if (m.session->prefilled())
-                    r.phase = RequestPhase::Decoding;
-            } else {
-                r.token_times_s.push_back(t);
-                ++r.tokens;
-                if (r.first_token_s < 0)
-                    r.first_token_s = t;
-            }
-            if (m.session->done()) {
-                // A 0-token request's "first token" is its prefill
-                // completion (the classification-style response).
-                if (r.first_token_s < 0)
-                    r.first_token_s = t;
-                r.finish_s = t;
-                r.phase = RequestPhase::Finished;
-                r.kv_trace = m.session->kvTrace();
-                r.sim = m.session->finalize();
-                accel.pool.release(m.idx);
-                residency.emplace_back(r.admit_s, r.finish_s);
-                ++finished;
-            }
+            t += job.seconds;
+            r.service_seconds += job.seconds;
+            m.prefill_pos = job.chunked ? job.offset + job.len
+                                        : trace[m.idx].workload.summarize_len;
+            ++r.prefill_chunks;
+            // TTFT semantics under chunking: the request stays in
+            // Prefill until its final chunk lands; its first token is
+            // the first decode completion after that.
+            if (m.session->prefilled())
+                r.phase = RequestPhase::Decoding;
+            finishIfDone(accel, m, r, t);
         }
         // Per-member charging audit (mixed prefill/decode iterations):
         // iter_s is the serialized sum of the steps that actually ran —
@@ -1045,17 +1046,12 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
         rep.kv_promoted_bytes += accels[a].pool.promotedBytes();
     }
     rep.kv_migrated_bytes = rep.kv_demoted_bytes + rep.kv_promoted_bytes;
-    if (rep.kv_migrated_bytes > 0) {
-        // Migration traffic is DRAM <-> HBM block movement the
-        // per-session energy reports cannot see; price it with the
-        // far-memory bit energy and fold it into the run total.
-        ActivityCounts mig;
-        mig.migration_bytes =
-            static_cast<double>(rep.kv_migrated_bytes);
-        rep.migration_energy_j =
-            EnergyModel().compute(mig).migration_j;
-        rep.total_energy_j += rep.migration_energy_j;
-    }
+    // Migration traffic is DRAM <-> HBM block movement the per-session
+    // energy reports cannot see; price it at the link's bit energy and
+    // fold it into the run total.
+    rep.migration_energy_j =
+        sched_.far_memory.transferJoules(rep.kv_migrated_bytes);
+    rep.total_energy_j += rep.migration_energy_j;
     rep.dram_reduction =
         dram_bytes > 0 ? dram_bytes_dense / dram_bytes : 1.0;
     return rep;

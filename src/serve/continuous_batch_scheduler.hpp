@@ -39,11 +39,18 @@
  * discarded, request re-queued. Queue order is a policy: FIFO,
  * priority (descending), or shortest-prompt-first.
  *
+ * Every iteration advances its prefilled residents through ONE call
+ * of the backend's batched lane API (AcceleratorBackend::
+ * stepDecodeBatch; SpAtten walks its stage graph layer-major across the
+ * lanes), whether or not prompt work rides along — one decode path, the
+ * way the hardware advances a whole batch through one pipeline pass.
+ *
  * Determinism contract (pinned by tests/test_continuous_scheduler.cpp):
  * the report is a pure function of (config, trace). Host worker threads
- * only parallelize the independent per-session step simulations inside
- * one iteration; the single-threaded coordinator makes every admission
- * and preemption decision and applies step results in admission order,
+ * only parallelize the independent prompt passes (prefills and prefill
+ * chunks) inside one iteration; the single-threaded coordinator makes
+ * every admission and preemption decision, runs the decode batch, and
+ * applies step results in admission order,
  * so every timestamp, metric, and per-request result is bit-identical
  * at any num_threads — including under preemption. Per-request
  * *service* results (step costs, KV trajectory, cycles, energy) depend
@@ -111,7 +118,8 @@ struct ContinuousBatchConfig
     std::size_t max_active = 8;
     ShardPolicy shard = ShardPolicy::LeastLoaded;
     QueuePolicy queue = QueuePolicy::Fifo;
-    /// Host threads for the per-iteration session steps; 0 = one per
+    /// Host threads for the per-iteration prompt passes (decode steps
+    /// always advance in one batched backend call); 0 = one per
     /// hardware thread. Never affects simulated results.
     std::size_t num_threads = 0;
     /// SLO for goodput accounting: a finished request counts as good
@@ -152,10 +160,12 @@ struct ContinuousBatchConfig
     /// burst charges far_memory.transferSeconds() to that request's
     /// prefill timeline — a DRAM hit stays cheaper than recomputing
     /// the prefix but dearer than an HBM hit. Migration energy is
-    /// priced at EnergyConfig::far_bit_energy_pj per bit and lands in
+    /// priced at far_memory.bit_energy_pj per bit and lands in
     /// ServeReport::migration_energy_j / total_energy_j. The default
     /// (capacity_gb == 0) disables tiering; every scheduler result is
-    /// then bit-identical to the single-tier pool.
+    /// then bit-identical to the single-tier pool. With tiering on, the
+    /// constructor rejects a link with bandwidth_gbs <= 0, a negative
+    /// latency_us, or a negative bit_energy_pj.
     FarMemoryConfig far_memory;
 
     /// CapabilityAware only: prompts at least this long are routed to
@@ -180,9 +190,7 @@ struct ContinuousBatchConfig
     /// passes are granted to un-prefilled residents in admission order:
     /// whole prompts that fit the remaining budget run as ordinary
     /// prefills, and at most one *partial* chunk is issued per
-    /// iteration. 0 = unlimited. Backends without the chunked_prefill
-    /// capability always prefill whole prompts; the budget only defers
-    /// when they start.
+    /// iteration. 0 = unlimited.
     std::size_t iteration_token_budget = 0;
 
     /// Admission skip-ahead bound for the non-FIFO queue policies: when
@@ -195,19 +203,6 @@ struct ContinuousBatchConfig
     /// strict arrival-order admission is its contract (pinned by
     /// tests/test_chunked_prefill.cpp).
     std::size_t admission_skip_ahead = 0;
-
-    /// Route iterations whose work list is decode-only through the
-    /// backend's batched entry point
-    /// (AcceleratorBackend::stepDecodeBatch) in ONE call instead of
-    /// one thread-pool job per resident: SpAtten advances every lane
-    /// layer-major through one stage-graph traversal, and memoized
-    /// steady-state steps make the per-job rendezvous the dominant
-    /// cost this removes. Sessions share no state, so results are
-    /// bit-identical either way (pinned by
-    /// tests/test_batched_decode.cpp); disable only for A/B
-    /// measurement. Mixed prefill+decode iterations always use the
-    /// per-job pool.
-    bool batched_decode = true;
 };
 
 /** Aggregated outcome of serving one trace. */
@@ -326,8 +321,8 @@ struct ServeReport
     /// Total migration traffic over the far-memory link, both
     /// directions (kv_demoted_bytes + kv_promoted_bytes).
     std::uint64_t kv_migrated_bytes = 0;
-    /// Energy of that traffic (EnergyConfig::far_bit_energy_pj per
-    /// bit); already included in total_energy_j.
+    /// Energy of that traffic (far_memory.bit_energy_pj per bit);
+    /// already included in total_energy_j.
     double migration_energy_j = 0;
     /// Promotion-burst latency charged to admitting requests' prefill
     /// timelines (summed; also inside busy_s and service_seconds).

@@ -47,8 +47,7 @@
  * scheduler can charge the migration's latency to the admitting
  * request's prefill timeline. The pool itself stays pure bookkeeping —
  * it meters migration bytes and block counts; time and energy are
- * priced by the serving layer (FarMemoryConfig in hbm/hbm.hpp,
- * EnergyConfig::far_bit_energy_pj). With dram_capacity_bytes == 0 every
+ * priced by the serving layer (FarMemoryConfig in hbm/hbm.hpp). With dram_capacity_bytes == 0 every
  * code path above is untouched and the pool is bit-identical to the
  * single-budget allocator.
  *

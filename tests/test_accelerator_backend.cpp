@@ -71,8 +71,6 @@ TEST(AcceleratorBackend, CapabilityAndCapacityContract)
     const SpAttenAccelerator spatten;
     EXPECT_EQ(spatten.backendName(), "spatten");
     EXPECT_TRUE(spatten.capabilities().cascade_pruning);
-    EXPECT_TRUE(spatten.capabilities().progressive_quant);
-    EXPECT_TRUE(spatten.capabilities().dram_savings);
     EXPECT_EQ(spatten.capacityBytes(),
               spatten.config().hbm.capacityBytes());
     EXPECT_EQ(spatten.kvBytesPerElem(), 2u);
@@ -80,7 +78,6 @@ TEST(AcceleratorBackend, CapabilityAndCapacityContract)
     const A3Backend a3;
     EXPECT_EQ(a3.backendName(), "a3");
     EXPECT_FALSE(a3.capabilities().cascade_pruning);
-    EXPECT_FALSE(a3.capabilities().dram_savings);
     EXPECT_EQ(a3.capacityBytes(), kBaselineCapacityBytes);
     EXPECT_EQ(a3.kvBytesPerElem(), 2u);
 
@@ -111,6 +108,22 @@ TEST(AcceleratorBackend, KvBytesPerTokenFollowsElemWidth)
 // ---------------------------------------------------------------------
 // Dense-KV baseline sessions
 // ---------------------------------------------------------------------
+
+} // namespace
+
+/// Prints a backend parameter as its name. gtest's default shared_ptr
+/// printer shows the heap address, which ctest test discovery bakes
+/// into the case names, so they changed from one build to the next.
+/// Declared in namespace spatten, not the anonymous one, so that
+/// argument-dependent lookup finds it from gtest's printer.
+static void
+PrintTo(const std::shared_ptr<const AcceleratorBackend>& backend,
+        std::ostream* os)
+{
+    *os << backend->backendName();
+}
+
+namespace {
 
 class BaselineSessionTest
     : public ::testing::TestWithParam<

@@ -2,11 +2,16 @@
 /// advances every lane layer-major through one stage-graph traversal;
 /// sessions share no state, so every observable must be bit-identical
 /// to the serial decodeStep() loop — directly at the backend level, and
-/// end-to-end through the scheduler (batched_decode on vs off) across
-/// thread counts, shard counts, chunked prefill, and prefix caching.
+/// end-to-end through the scheduler (the SpAtten fleet against a fleet
+/// whose backend keeps the serial default) across thread counts, shard
+/// counts, chunked prefill, and prefix caching. The scheduler's only
+/// decode path is the batched lane API, mixed prefill+decode iterations
+/// included.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "accel/decode_session.hpp"
@@ -130,8 +135,43 @@ TEST(BatchedDecode, MixedMemoAndLiveLanes)
 }
 
 // ---------------------------------------------------------------------
-// Scheduler level: batched_decode on == off, whole-report
+// Scheduler level: SpAtten's batched path == the serial default,
+// whole-report
 // ---------------------------------------------------------------------
+
+/// The SpAtten backend with the base class's serial stepDecodeBatch:
+/// forwards everything but the batched hook, so the scheduler's decode
+/// lanes step one decodeStep() at a time — the oracle the layer-major
+/// path must match bit for bit.
+class ForwardingBackend : public AcceleratorBackend
+{
+  public:
+    std::string backendName() const override
+    {
+        return inner_.backendName();
+    }
+    BackendCapabilities capabilities() const override
+    {
+        return inner_.capabilities();
+    }
+    std::uint64_t capacityBytes() const override
+    {
+        return inner_.capacityBytes();
+    }
+    std::size_t kvBytesPerElem() const override
+    {
+        return inner_.kvBytesPerElem();
+    }
+    std::unique_ptr<BackendSession>
+    makeSession(const WorkloadSpec& workload, const PruningPolicy& policy,
+                std::uint64_t request_seed) const override
+    {
+        return inner_.makeSession(workload, policy, request_seed);
+    }
+
+  protected:
+    SpAttenAccelerator inner_;
+};
 
 std::vector<TracedRequest>
 denseTrace(std::size_t n)
@@ -177,42 +217,50 @@ serve(const std::vector<TracedRequest>& trace, ContinuousBatchConfig sc)
     return ContinuousBatchScheduler(SpAttenConfig{}, sc).run(trace);
 }
 
+ServeReport
+serveSerial(const std::vector<TracedRequest>& trace,
+            const ContinuousBatchConfig& sc)
+{
+    const AcceleratorFleet fleet(
+        sc.num_accelerators, std::make_shared<const ForwardingBackend>());
+    return ContinuousBatchScheduler(fleet, sc).run(trace);
+}
+
 TEST(BatchedDecode, SchedulerBatchedMatchesPerJobAcrossThreadsAndShards)
 {
     const auto trace = denseTrace(20);
     for (const std::size_t accels : {std::size_t{1}, std::size_t{2}}) {
-        ContinuousBatchConfig off;
-        off.num_accelerators = accels;
-        off.max_active = 6;
-        off.num_threads = 1;
-        off.batched_decode = false;
-        const ServeReport baseline = serve(trace, off);
+        ContinuousBatchConfig sc;
+        sc.num_accelerators = accels;
+        sc.max_active = 6;
+        sc.num_threads = 1;
+        const ServeReport baseline = serveSerial(trace, sc);
 
         for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-            ContinuousBatchConfig on = off;
-            on.batched_decode = true;
-            on.num_threads = threads;
-            expectSameReport(baseline, serve(trace, on));
+            sc.num_threads = threads;
+            expectSameReport(baseline, serve(trace, sc));
         }
     }
 }
 
+ContinuousBatchConfig
+chunkedConfig()
+{
+    ContinuousBatchConfig sc;
+    sc.max_active = 6;
+    sc.num_threads = 1;
+    sc.prefill_chunk_tokens = 32;
+    sc.iteration_token_budget = 48;
+    return sc;
+}
+
 TEST(BatchedDecode, SchedulerBatchedMatchesWithChunkedPrefill)
 {
-    // Chunked prefill forces mixed prefill+decode iterations (which
-    // must fall back to the per-job pool) interleaved with all-decode
-    // iterations (which batch); both kinds must agree with batching
-    // disabled.
+    // Chunked prefill forces mixed prefill+decode iterations, whose
+    // decode lanes batch alongside the prompt chunks.
     const auto trace = denseTrace(16);
-    ContinuousBatchConfig off;
-    off.max_active = 6;
-    off.num_threads = 1;
-    off.prefill_chunk_tokens = 32;
-    off.iteration_token_budget = 48;
-    off.batched_decode = false;
-    ContinuousBatchConfig on = off;
-    on.batched_decode = true;
-    expectSameReport(serve(trace, off), serve(trace, on));
+    const ContinuousBatchConfig sc = chunkedConfig();
+    expectSameReport(serveSerial(trace, sc), serve(trace, sc));
 }
 
 TEST(BatchedDecode, SchedulerBatchedMatchesWithPrefixCaching)
@@ -228,14 +276,106 @@ TEST(BatchedDecode, SchedulerBatchedMatchesWithPrefixCaching)
     pc.max_prompt_tokens = 320;
     const auto trace = generateSharedPrefixTrace(pc);
 
-    ContinuousBatchConfig off;
-    off.max_active = 6;
-    off.num_threads = 1;
-    off.enable_prefix_caching = true;
-    off.batched_decode = false;
-    ContinuousBatchConfig on = off;
-    on.batched_decode = true;
-    expectSameReport(serve(trace, off), serve(trace, on));
+    ContinuousBatchConfig sc;
+    sc.max_active = 6;
+    sc.num_threads = 1;
+    sc.enable_prefix_caching = true;
+    expectSameReport(serveSerial(trace, sc), serve(trace, sc));
+}
+
+// ---------------------------------------------------------------------
+// Scheduler level: every decode step arrives through stepDecodeBatch
+// ---------------------------------------------------------------------
+
+/// Counts decode work by entry point: lanes handed to stepDecodeBatch
+/// versus decodeStep() calls made on the sessions directly.
+class CountingBackend : public ForwardingBackend
+{
+  public:
+    class Session : public BackendSession
+    {
+      public:
+        Session(std::unique_ptr<BackendSession> inner,
+                std::atomic<std::size_t>& direct_steps)
+            : inner_(std::move(inner)), direct_steps_(direct_steps)
+        {
+        }
+        double prefill() override { return inner_->prefill(); }
+        double prefillWithCachedPrefix(std::size_t cached) override
+        {
+            return inner_->prefillWithCachedPrefix(cached);
+        }
+        double prefillChunk(std::size_t offset, std::size_t len) override
+        {
+            return inner_->prefillChunk(offset, len);
+        }
+        double decodeStep() override
+        {
+            ++direct_steps_;
+            return inner_->decodeStep();
+        }
+        bool prefilled() const override { return inner_->prefilled(); }
+        bool done() const override { return inner_->done(); }
+        std::size_t kvLength() const override { return inner_->kvLength(); }
+        const std::vector<std::size_t>& kvTrace() const override
+        {
+            return inner_->kvTrace();
+        }
+        const WorkloadSpec& workload() const override
+        {
+            return inner_->workload();
+        }
+        RunResult finalize() const override { return inner_->finalize(); }
+
+        BackendSession* inner() const { return inner_.get(); }
+
+      private:
+        std::unique_ptr<BackendSession> inner_;
+        std::atomic<std::size_t>& direct_steps_;
+    };
+
+    std::unique_ptr<BackendSession>
+    makeSession(const WorkloadSpec& workload, const PruningPolicy& policy,
+                std::uint64_t request_seed) const override
+    {
+        return std::make_unique<Session>(
+            inner_.makeSession(workload, policy, request_seed),
+            direct_steps);
+    }
+    void stepDecodeBatch(const std::vector<BackendSession*>& lanes,
+                         std::vector<double>& seconds_out) const override
+    {
+        std::vector<BackendSession*> inner_lanes;
+        for (BackendSession* lane : lanes)
+            inner_lanes.push_back(static_cast<Session*>(lane)->inner());
+        batched_lanes += lanes.size();
+        inner_.stepDecodeBatch(inner_lanes, seconds_out);
+    }
+
+    mutable std::atomic<std::size_t> batched_lanes{0};
+    mutable std::atomic<std::size_t> direct_steps{0};
+};
+
+TEST(BatchedDecode, MixedIterationsDecodeThroughTheBatchedPath)
+{
+    const auto trace = denseTrace(16);
+    ContinuousBatchConfig sc = chunkedConfig();
+    sc.num_threads = 3;
+    const auto counting = std::make_shared<const CountingBackend>();
+    const ServeReport rep =
+        ContinuousBatchScheduler(AcceleratorFleet{counting}, sc).run(trace);
+
+    std::size_t decoded = 0;
+    std::size_t chunked = 0;
+    for (const ServedRequest& r : rep.requests) {
+        decoded += r.tokens + r.recompute_tokens;
+        chunked += r.prefill_chunks > 1 ? 1 : 0;
+    }
+    ASSERT_GT(chunked, 0u) << "the fixture must split prompts into "
+                              "chunks, or no iteration mixes work";
+    EXPECT_EQ(counting->batched_lanes.load(), decoded);
+    EXPECT_EQ(counting->direct_steps.load(), 0u);
+    expectSameReport(serve(trace, sc), rep);
 }
 
 } // namespace

@@ -4,12 +4,15 @@
 
 #include "accel/pipeline.hpp"
 #include "accel/qk_module.hpp"
+#include "accel/spatten_accelerator.hpp"
 #include "accel/topk_engine.hpp"
+#include "baselines/baseline_backends.hpp"
 #include "core/attention_ref.hpp"
 #include "core/schedule.hpp"
 #include "hbm/hbm.hpp"
 #include "nn/layers.hpp"
 #include "quant/linear_quant.hpp"
+#include "serve/continuous_batch_scheduler.hpp"
 #include "tensor/ops.hpp"
 
 namespace spatten {
@@ -91,6 +94,45 @@ TEST(FailureInjection, LossBadLabel)
     Tensor logits({1, 3}, 0.0f);
     Tensor d;
     EXPECT_DEATH(softmaxCrossEntropy(logits, {5}, d), "label");
+}
+
+TEST(FailureInjection, SchedulerBadFarMemoryLink)
+{
+    // A tiering config whose link would price promotions as inf/NaN
+    // seconds (or negative energy) is rejected at construction.
+    const auto build = [](FarMemoryConfig fm) {
+        ContinuousBatchConfig sc;
+        sc.far_memory = fm;
+        ContinuousBatchScheduler sched(SpAttenConfig{}, sc);
+    };
+    FarMemoryConfig fm;
+    fm.capacity_gb = 1.0;
+    fm.bandwidth_gbs = 0.0;
+    EXPECT_DEATH(build(fm), "bandwidth_gbs");
+    fm.bandwidth_gbs = -4.0;
+    EXPECT_DEATH(build(fm), "bandwidth_gbs");
+    fm.bandwidth_gbs = 64.0;
+    fm.latency_us = -0.5;
+    EXPECT_DEATH(build(fm), "latency_us");
+    fm.latency_us = 0.5;
+    fm.bit_energy_pj = -1.0;
+    EXPECT_DEATH(build(fm), "bit_energy_pj");
+}
+
+TEST(FailureInjection, ForeignSessionInSpAttenDecodeBatch)
+{
+    const SpAttenAccelerator spatten;
+    const A3Backend a3;
+    WorkloadSpec w;
+    w.model = {"tiny", 2, 2, 64, 2};
+    w.summarize_len = 16;
+    w.generate_len = 2;
+    auto foreign = a3.makeSession(w, PruningPolicy{}, 1);
+    foreign->prefill();
+    const std::vector<BackendSession*> lanes = {foreign.get()};
+    std::vector<double> seconds;
+    EXPECT_DEATH(spatten.stepDecodeBatch(lanes, seconds),
+                 "not a SpAtten session");
 }
 
 } // namespace

@@ -277,8 +277,8 @@ TEST(TieredServe, MigrationAccountingIsCoherentAndRaisesHitRate)
               tiered.kv_demoted_bytes + tiered.kv_promoted_bytes);
     EXPECT_EQ(tiered.kv_dram_capacity_bytes, 64ull << 20);
 
-    // Migrations cost energy (far_bit_energy_pj = 20 pJ/bit, inside
-    // the total) and promotions cost admitting-request time.
+    // Migrations cost energy (far_memory.bit_energy_pj = 20 pJ/bit,
+    // inside the total) and promotions cost admitting-request time.
     EXPECT_DOUBLE_EQ(tiered.migration_energy_j,
                      static_cast<double>(tiered.kv_migrated_bytes) *
                          8.0 * 20.0 * 1e-12);
@@ -313,6 +313,28 @@ TEST(TieredServe, PromotionLatencyFollowsTheFarMemoryKnobs)
     const ServeReport slow = serve(trace, sc);
     EXPECT_GT(slow.promotion_stall_s, fast.promotion_stall_s);
     EXPECT_GT(slow.ttft_p99_s, 0.0);
+}
+
+TEST(TieredServe, MigrationEnergyFollowsTheConfiguredBitPrice)
+{
+    // A non-default link price must reach the report: same trace, same
+    // migrated bytes, energy scaled by the configured pJ/bit — and the
+    // rest of the energy total untouched.
+    const auto trace = churningSharedPrefixTrace();
+    ContinuousBatchConfig sc = tightCachingConfig(trace);
+    sc.far_memory.capacity_gb = 64.0 / 1024.0;
+    const ServeReport base = serve(trace, sc);
+    ASSERT_GT(base.kv_migrated_bytes, 0u);
+
+    sc.far_memory.bit_energy_pj = 55.0;
+    const ServeReport priced = serve(trace, sc);
+    EXPECT_EQ(priced.kv_migrated_bytes, base.kv_migrated_bytes);
+    EXPECT_DOUBLE_EQ(priced.migration_energy_j,
+                     static_cast<double>(priced.kv_migrated_bytes) *
+                         8.0 * 55.0 * 1e-12);
+    EXPECT_GT(priced.migration_energy_j, base.migration_energy_j);
+    EXPECT_DOUBLE_EQ(priced.total_energy_j - priced.migration_energy_j,
+                     base.total_energy_j - base.migration_energy_j);
 }
 
 TEST(TieredServe, TieredRunIsBitIdenticalAcrossThreadCounts)
