@@ -207,23 +207,39 @@ AttentionGraph::finalize(RunResult& res) const
     res.energy = EnergyModel(energy_cfg_).compute(act);
 
     // ---- Stat registry: aggregates + automatic per-stage breakdown ----
+    static const StatName kComputeBound("pipeline.compute_bound_ns");
+    static const StatName kMemoryBound("pipeline.memory_bound_ns");
+    static const StatName kSummarize("pipeline.summarize_seconds");
+    static const StatName kGenerate("pipeline.generate_seconds");
+    static const StatName kTflops("pipeline.effective_tflops");
+    static const StatName kDramReduction("pipeline.dram_reduction");
+    static const StatName kComputeReduction("pipeline.compute_reduction");
+    static const StatName kQkMacs("activity.qk_macs");
+    static const StatName kPvMacs("activity.pv_macs");
+    static const StatName kSoftmax("activity.softmax_elems");
+    static const StatName kTopk("activity.topk_comparisons");
+    static const StatName kConflicts("crossbar.conflicts");
+    static const StatName kKeyRead("sram.key_bytes_read");
+    static const StatName kValueRead("sram.value_bytes_read");
+    constexpr std::size_t kFinalizeGauges = 14; // The set() calls below.
+    res.stats.reserve(res.stats.all().size() + HbmModel::kExportedStats +
+                      kFinalizeGauges + graph_.exportedStats());
     hbm_.exportStats(res.stats);
-    res.stats.set("pipeline.compute_bound_ns", graph_.computeBoundNs());
-    res.stats.set("pipeline.memory_bound_ns", graph_.memoryBoundNs());
-    res.stats.set("pipeline.summarize_seconds", res.summarize_seconds);
-    res.stats.set("pipeline.generate_seconds", res.generate_seconds);
-    res.stats.set("pipeline.effective_tflops", res.effectiveTflops());
-    res.stats.set("pipeline.dram_reduction", res.dramReduction());
-    res.stats.set("pipeline.compute_reduction", res.computeReduction());
-    res.stats.set("activity.qk_macs", act.qk_macs);
-    res.stats.set("activity.pv_macs", act.pv_macs);
-    res.stats.set("activity.softmax_elems", act.softmax_elems);
-    res.stats.set("activity.topk_comparisons", act.topk_comparisons);
-    res.stats.set("crossbar.conflicts",
-                  static_cast<double>(xbar_.totalConflicts()));
-    res.stats.set("sram.key_bytes_read", key_sram_.bytesRead());
-    res.stats.set("sram.value_bytes_read", value_sram_.bytesRead());
-    res.stats.merge(graph_.stats());
+    res.stats.set(kComputeBound, graph_.computeBoundNs());
+    res.stats.set(kMemoryBound, graph_.memoryBoundNs());
+    res.stats.set(kSummarize, res.summarize_seconds);
+    res.stats.set(kGenerate, res.generate_seconds);
+    res.stats.set(kTflops, res.effectiveTflops());
+    res.stats.set(kDramReduction, res.dramReduction());
+    res.stats.set(kComputeReduction, res.computeReduction());
+    res.stats.set(kQkMacs, act.qk_macs);
+    res.stats.set(kPvMacs, act.pv_macs);
+    res.stats.set(kSoftmax, act.softmax_elems);
+    res.stats.set(kTopk, act.topk_comparisons);
+    res.stats.set(kConflicts, static_cast<double>(xbar_.totalConflicts()));
+    res.stats.set(kKeyRead, key_sram_.bytesRead());
+    res.stats.set(kValueRead, value_sram_.bytesRead());
+    graph_.exportStats(res.stats);
 }
 
 } // namespace spatten

@@ -281,13 +281,31 @@ HbmModel::drainCycle() const
 }
 
 void
+FarMemoryConfig::validate() const
+{
+    SPATTEN_ASSERT(bandwidth_gbs > 0,
+                   "far-memory bandwidth_gbs must be > 0, got %g",
+                   bandwidth_gbs);
+    SPATTEN_ASSERT(latency_us >= 0,
+                   "far-memory latency_us must be >= 0, got %g", latency_us);
+    SPATTEN_ASSERT(bit_energy_pj >= 0,
+                   "far-memory bit_energy_pj must be >= 0, got %g",
+                   bit_energy_pj);
+}
+
+void
 HbmModel::exportStats(StatSet& stats) const
 {
-    stats.add("hbm.bytes_read", static_cast<double>(bytes_read_));
-    stats.add("hbm.bytes_written", static_cast<double>(bytes_written_));
-    stats.add("hbm.row_activations", static_cast<double>(activations_));
-    stats.add("hbm.requests", static_cast<double>(requests_));
-    stats.add("hbm.energy_pj", energyPj());
+    static const StatName kBytesRead("hbm.bytes_read");
+    static const StatName kBytesWritten("hbm.bytes_written");
+    static const StatName kActivations("hbm.row_activations");
+    static const StatName kRequests("hbm.requests");
+    static const StatName kEnergy("hbm.energy_pj");
+    stats.add(kBytesRead, static_cast<double>(bytes_read_));
+    stats.add(kBytesWritten, static_cast<double>(bytes_written_));
+    stats.add(kActivations, static_cast<double>(activations_));
+    stats.add(kRequests, static_cast<double>(requests_));
+    stats.add(kEnergy, energyPj());
 }
 
 HbmModel::TimingState

@@ -104,6 +104,12 @@ struct FarMemoryConfig
 
     bool enabled() const { return capacity_gb > 0.0; }
 
+    /** Die unless the link can price a migration: bandwidth_gbs > 0,
+     *  latency_us >= 0 and bit_energy_pj >= 0 (NaN fails all three). A
+     *  bad link would otherwise surface as inf/NaN promotion stalls or
+     *  negative energy deep inside a run. */
+    void validate() const;
+
     /** Cold-tier capacity in bytes; same exact-shift + rounded-fraction
      *  conversion as HbmConfig::capacityBytes(). */
     std::uint64_t capacityBytes() const
@@ -200,6 +206,8 @@ class HbmModel
 
     /** Export counters into a StatSet under the "hbm." prefix. */
     void exportStats(StatSet& stats) const;
+    /** Number of entries exportStats() writes. */
+    static constexpr std::size_t kExportedStats = 5;
 
     void reset();
 

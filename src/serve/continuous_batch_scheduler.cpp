@@ -250,20 +250,8 @@ ContinuousBatchScheduler::ContinuousBatchScheduler(
     sched_.num_accelerators = fleet_.size();
     SPATTEN_ASSERT(sched_.max_active >= 1, "batch width must be >= 1");
     SPATTEN_ASSERT(sched_.kv_block_tokens >= 1, "zero-token KV blocks");
-    if (sched_.far_memory.enabled()) {
-        // A bad link would otherwise surface as inf/NaN promotion
-        // stalls deep in a run; NaN fails these checks too.
-        const FarMemoryConfig& fm = sched_.far_memory;
-        SPATTEN_ASSERT(fm.bandwidth_gbs > 0,
-                       "far-memory bandwidth_gbs must be > 0, got %g",
-                       fm.bandwidth_gbs);
-        SPATTEN_ASSERT(fm.latency_us >= 0,
-                       "far-memory latency_us must be >= 0, got %g",
-                       fm.latency_us);
-        SPATTEN_ASSERT(fm.bit_energy_pj >= 0,
-                       "far-memory bit_energy_pj must be >= 0, got %g",
-                       fm.bit_energy_pj);
-    }
+    if (sched_.far_memory.enabled())
+        sched_.far_memory.validate();
     if (sched_.kv_capacity_bytes == 0) {
         // A fleet of equal-capacity devices keeps the uniform-budget
         // report field meaningful; heterogeneous capacities stay

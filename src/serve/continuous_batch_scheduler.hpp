@@ -164,8 +164,9 @@ struct ContinuousBatchConfig
     /// ServeReport::migration_energy_j / total_energy_j. The default
     /// (capacity_gb == 0) disables tiering; every scheduler result is
     /// then bit-identical to the single-tier pool. With tiering on, the
-    /// constructor rejects a link with bandwidth_gbs <= 0, a negative
-    /// latency_us, or a negative bit_energy_pj.
+    /// constructor runs FarMemoryConfig::validate(), which rejects a
+    /// link with bandwidth_gbs <= 0, a negative latency_us, or a
+    /// negative bit_energy_pj.
     FarMemoryConfig far_memory;
 
     /// CapabilityAware only: prompts at least this long are routed to

@@ -1,6 +1,7 @@
 #include "sim/stage_graph.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -16,18 +17,40 @@ StageGraph::StageGraph(double core_freq_ghz, double dram_freq_ghz,
                    dram_freq_ghz_);
 }
 
+StageGraph::Entry::Entry(const StageModel* s, MemoryStage* m,
+                         TrafficSink t)
+    : stage(s), memory(m), sink(std::move(t)), name(s->stageName()),
+      stat_names(statNamesFor(name))
+{
+}
+
+StageGraph::StageStatNames
+StageGraph::statNamesFor(const std::string& stage)
+{
+    thread_local std::vector<std::pair<std::string, StageStatNames>> cache;
+    for (const auto& [name, names] : cache)
+        if (name == stage)
+            return names;
+    const std::string prefix = "stage." + stage;
+    cache.emplace_back(stage,
+                       StageStatNames{StatName(prefix + ".busy_cycles"),
+                                      StatName(prefix + ".energy_pj"),
+                                      StatName(prefix + ".dram_bytes")});
+    return cache.back().second;
+}
+
 void
 StageGraph::addStage(const StageModel* stage, TrafficSink sink)
 {
     SPATTEN_ASSERT(stage != nullptr, "null stage");
-    stages_.push_back({stage, nullptr, std::move(sink), stage->stageName()});
+    stages_.emplace_back(stage, nullptr, std::move(sink));
 }
 
 void
 StageGraph::addMemoryStage(MemoryStage* stage, TrafficSink sink)
 {
     SPATTEN_ASSERT(stage != nullptr, "null memory stage");
-    stages_.push_back({stage, stage, std::move(sink), stage->stageName()});
+    stages_.emplace_back(stage, stage, std::move(sink));
 }
 
 void
@@ -37,21 +60,14 @@ StageGraph::addTransform(std::unique_ptr<GraphTransform> transform)
     transforms_.push_back(std::move(transform));
 }
 
-const StatSet&
-StageGraph::stats() const
+void
+StageGraph::exportStats(StatSet& stats) const
 {
-    // Render the per-entry accumulators into the string-keyed StatSet.
-    // The doubles were accumulated with the same per-key addition order
-    // the map-backed counters used, so the rendered totals are
-    // bit-identical; the render itself is plain assignment.
-    stats_ = StatSet{};
     for (const auto& e : stages_) {
-        const std::string prefix = "stage." + e.name;
-        stats_.add(prefix + ".busy_cycles", e.busy_cycles);
-        stats_.add(prefix + ".energy_pj", e.energy_pj);
-        stats_.add(prefix + ".dram_bytes", e.dram_bytes);
+        stats.add(e.stat_names.busy, e.busy_cycles);
+        stats.add(e.stat_names.energy, e.energy_pj);
+        stats.add(e.stat_names.dram, e.dram_bytes);
     }
-    return stats_;
 }
 
 double

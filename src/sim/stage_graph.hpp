@@ -6,8 +6,9 @@
  * GraphTransforms. One runLayer() call evaluates every stage against the
  * per-request ExecutionContext, combines their occupancies into the
  * layer's initiation interval (fully pipelined critical path), realizes
- * DRAM traffic through the registered MemoryStages, and lands each
- * stage's occupancy / energy / traffic in the StatSet automatically.
+ * DRAM traffic through the registered MemoryStages, and accumulates
+ * each stage's occupancy / energy / traffic, exported into a StatSet
+ * under `stage.<name>.*` by exportStats().
  * Transforms (cascade pruning, progressive quantization) run between
  * layers and mutate only the context — pruning is a graph transform,
  * not inline arithmetic in a monolithic run() loop.
@@ -127,18 +128,38 @@ class StageGraph
     const ActivityCounts& activity() const { return activity_; }
 
     /**
-     * Per-stage occupancy/energy/traffic counters. Materialized lazily:
-     * the hot path accumulates into plain per-stage doubles (same
-     * per-key addition order as the historical map-backed counters, so
-     * the totals are bit-identical) and this call renders them into a
-     * StatSet on demand.
+     * Export the per-stage occupancy/energy/traffic counters into
+     * @p stats as `stage.<name>.{busy_cycles,energy_pj,dram_bytes}`
+     * counters. The hot path accumulates into plain per-stage doubles
+     * (same per-key addition order as the historical map-backed
+     * counters, so the totals are bit-identical); the names are
+     * resolved when a stage is registered, so exporting builds no
+     * strings.
      */
-    const StatSet& stats() const;
+    void exportStats(StatSet& stats) const;
+    /** Number of entries exportStats() writes. */
+    std::size_t exportedStats() const { return 3 * stages_.size(); }
 
     /** Number of registered stages. */
     std::size_t numStages() const { return stages_.size(); }
 
   private:
+    /** The interned `stage.<name>.*` counter names of one stage. */
+    struct StageStatNames
+    {
+        StatName busy;   ///< stage.<name>.busy_cycles
+        StatName energy; ///< stage.<name>.energy_pj
+        StatName dram;   ///< stage.<name>.dram_bytes
+    };
+
+    /**
+     * Stat names for stage @p stage. A graph is built per serving
+     * session, so the few distinct stage names are cached per thread:
+     * registering a stage neither concatenates strings nor takes the
+     * intern lock.
+     */
+    static StageStatNames statNamesFor(const std::string& stage);
+
     struct Entry
     {
         const StageModel* stage = nullptr;
@@ -146,10 +167,13 @@ class StageGraph
         TrafficSink sink;
         std::string name; ///< Cached stageName(): no virtual-call +
                           ///< string construction in the layer loop.
-        // Hot-path accumulators (materialized in stats()).
+        StageStatNames stat_names; ///< Interned once at registration.
+        // Hot-path accumulators (exported by exportStats()).
         double busy_cycles = 0;
         double energy_pj = 0;
         double dram_bytes = 0;
+
+        Entry(const StageModel* s, MemoryStage* m, TrafficSink t);
     };
 
     /** Energy (pJ) of one stage's activity under the graph's constants. */
@@ -167,7 +191,6 @@ class StageGraph
     double memory_bound_ns_ = 0;
     ActivityCounts activity_;
     std::vector<StageTiming> timings_; ///< Scratch, reused across layers.
-    mutable StatSet stats_;            ///< Rendered on demand in stats().
 };
 
 } // namespace spatten

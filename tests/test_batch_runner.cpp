@@ -5,9 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
 
+#include "accel/decode_session.hpp"
 #include "accel/spatten_accelerator.hpp"
 #include "serve/batch_runner.hpp"
+#include "sim/stats.hpp"
 #include "workload/benchmarks.hpp"
 
 namespace spatten {
@@ -208,6 +214,58 @@ TEST(BatchRunner, StageGraphMatchesMonolithRegression)
         pipe.run(gptWorkload(512, 16), PruningPolicy::disabled());
     EXPECT_LE(dense.cycles, 5423040u); // monolith dense cycles
     EXPECT_NEAR(dense.dramReduction(), 32.0 / 12.0, 1e-9);
+}
+
+using StatRow = std::tuple<std::string, double, bool>;
+
+/// One worker's stat registry: names every worker shares, names unique
+/// to @p tid, and a finalized SpAtten session's stats merged on top.
+std::vector<StatRow>
+buildWorkerStats(std::size_t tid)
+{
+    StatSet s;
+    for (std::size_t i = 0; i < 32; ++i) {
+        const double v = static_cast<double>(tid * 100 + i);
+        s.add("batch_runner.shared." + std::to_string(i), v + 0.5);
+        s.set("batch_runner.worker" + std::to_string(tid) + "." +
+                  std::to_string(i),
+              v);
+    }
+    DecodeSession session(SpAttenConfig{}, gptWorkload(64 + 16 * tid, 3),
+                          fullPolicy(), tid);
+    session.prefill();
+    while (!session.done())
+        session.decodeStep();
+    s.merge(session.finalize().stats);
+    s.add("batch_runner.shared.0", 1.0);
+
+    std::vector<StatRow> rows;
+    for (const auto& [name, value] : s.all())
+        rows.emplace_back(name, value, s.isGauge(name));
+    return rows;
+}
+
+// StatSet names are interned in one process-wide table. Workers that
+// intern fresh names concurrently (the shared ones racing each other)
+// must each end up with exactly the single-threaded registry; under
+// TSan this is the intern table's race check.
+TEST(BatchRunner, ConcurrentStatSetsMatchSingleThreadedReference)
+{
+    constexpr std::size_t kWorkers = 8;
+    std::vector<std::vector<StatRow>> got(kWorkers);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kWorkers; ++t)
+        threads.emplace_back([&got, t] { got[t] = buildWorkerStats(t); });
+    for (auto& th : threads)
+        th.join();
+    // References run after the workers, so the workers are the ones
+    // that interned the batch_runner.* names.
+    for (std::size_t t = 0; t < kWorkers; ++t) {
+        const std::vector<StatRow> want = buildWorkerStats(t);
+        ASSERT_EQ(got[t].size(), want.size()) << "worker " << t;
+        EXPECT_TRUE(got[t] == want) << "worker " << t;
+        EXPECT_TRUE(std::is_sorted(want.begin(), want.end()));
+    }
 }
 
 } // namespace

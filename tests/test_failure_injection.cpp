@@ -2,6 +2,8 @@
 /// violations must fail loudly (panic/fatal), never silently corrupt.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "accel/pipeline.hpp"
 #include "accel/qk_module.hpp"
 #include "accel/spatten_accelerator.hpp"
@@ -117,6 +119,22 @@ TEST(FailureInjection, SchedulerBadFarMemoryLink)
     fm.latency_us = 0.5;
     fm.bit_energy_pj = -1.0;
     EXPECT_DEATH(build(fm), "bit_energy_pj");
+}
+
+TEST(FailureInjection, FarMemoryValidateRejectsBadLink)
+{
+    // validate() itself, with no scheduler around it: each bad field
+    // dies naming itself, and the defaults pass.
+    FarMemoryConfig fm;
+    fm.validate();
+    fm.bandwidth_gbs = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(fm.validate(), "bandwidth_gbs");
+    fm = FarMemoryConfig{};
+    fm.latency_us = -1.0;
+    EXPECT_DEATH(fm.validate(), "latency_us");
+    fm = FarMemoryConfig{};
+    fm.bit_energy_pj = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(fm.validate(), "bit_energy_pj");
 }
 
 TEST(FailureInjection, ForeignSessionInSpAttenDecodeBatch)

@@ -3,11 +3,17 @@
 /// values, so any change to the timing, traffic, or energy model is a
 /// conscious decision, never an accident.
 ///
+/// A second table pins the full exported stat surface (every name, value
+/// and counter/gauge kind, in order) of one run and one decode session.
+///
 /// Re-baselining intentionally:
 ///   SPATTEN_GOLDEN_DUMP=1 ./test_golden_regression
-/// prints a fresh `kGoldens` table; paste it over the one below.
+/// prints fresh `kGoldens`, `kRunStats` and `kSessionStats` tables;
+/// paste each over the one below.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -44,6 +50,95 @@ constexpr Golden kGoldens[] = {
     {"memnet", 965, 2.8985507246376812, 2.1028826000000002e-06},
     {"beam-search", 318336, 6.6982921781093312, 0.0026592823845695999},
     {"batch-of-8", 6279128, 3.6367933481243346, 0.023001340760403201},
+};
+
+struct StatGolden
+{
+    const char* name;
+    double value;
+    bool gauge;
+};
+
+// Full ordered stat surface of runStatSurface() / sessionStatSurface(),
+// compared bit for bit.
+constexpr StatGolden kRunStats[] = {
+    {"activity.pv_macs", 945794304, true},
+    {"activity.qk_macs", 1352154155.5200012, true},
+    {"activity.softmax_elems", 21127408.680000018, true},
+    {"activity.topk_comparisons", 63401529, true},
+    {"crossbar.conflicts", 0, true},
+    {"hbm.bytes_read", 105319932, false},
+    {"hbm.bytes_written", 0, false},
+    {"hbm.energy_pj", 3412885550.4000001, false},
+    {"hbm.requests", 9648, false},
+    {"hbm.row_activations", 139608, false},
+    {"pipeline.compute_bound_ns", 2553202, true},
+    {"pipeline.compute_reduction", 2.1723960675962219, true},
+    {"pipeline.dram_reduction", 6.3731498801195583, true},
+    {"pipeline.effective_tflops", 1.5981905049759384, true},
+    {"pipeline.generate_seconds", 0.00031861800000000011, true},
+    {"pipeline.memory_bound_ns", 318618, true},
+    {"pipeline.summarize_seconds", 0.0025532020000000001, true},
+    {"sram.key_bytes_read", 2023595136, true},
+    {"sram.value_bytes_read", 1418691456, true},
+    {"stage.fetcher.busy_cycles", 361254, false},
+    {"stage.fetcher.dram_bytes", 105320981.75999996, false},
+    {"stage.fetcher.energy_pj", 185513760, false},
+    {"stage.pv.busy_cycles", 1863540, false},
+    {"stage.pv.dram_bytes", 0, false},
+    {"stage.pv.energy_pj", 1229532595.1999998, false},
+    {"stage.qk.busy_cycles", 2655348, false},
+    {"stage.qk.dram_bytes", 0, false},
+    {"stage.qk.energy_pj", 1757800402.1760015, false},
+    {"stage.softmax.busy_cycles", 2655348, false},
+    {"stage.softmax.dram_bytes", 0, false},
+    {"stage.softmax.energy_pj", 1162007477.3999989, false},
+    {"stage.topk.busy_cycles", 2666181, false},
+    {"stage.topk.dram_bytes", 0, false},
+    {"stage.topk.energy_pj", 158503822.5, false},
+    {"stage.zero_eliminator.busy_cycles", 9312, false},
+    {"stage.zero_eliminator.dram_bytes", 0, false},
+    {"stage.zero_eliminator.energy_pj", 0, false},
+};
+
+constexpr StatGolden kSessionStats[] = {
+    {"activity.pv_macs", 229287168, true},
+    {"activity.qk_macs", 325877569.53600031, true},
+    {"activity.softmax_elems", 5091837.0240000049, true},
+    {"activity.topk_comparisons", 15280515, true},
+    {"crossbar.conflicts", 0, true},
+    {"hbm.bytes_read", 8609424, false},
+    {"hbm.bytes_written", 0, false},
+    {"hbm.energy_pj", 285117832.80000001, false},
+    {"hbm.requests", 5040, false},
+    {"hbm.row_activations", 18156, false},
+    {"pipeline.compute_bound_ns", 644469, true},
+    {"pipeline.compute_reduction", 2.2452187001947936, true},
+    {"pipeline.dram_reduction", 21.169315856670551, true},
+    {"pipeline.effective_tflops", 1.6343986609725611, true},
+    {"pipeline.generate_seconds", 3.4830000000000017e-05, true},
+    {"pipeline.memory_bound_ns", 34830, true},
+    {"pipeline.summarize_seconds", 0.00064446900000000005, true},
+    {"sram.key_bytes_read", 488753280, true},
+    {"sram.value_bytes_read", 343930752, true},
+    {"stage.fetcher.busy_cycles", 57093.5, false},
+    {"stage.fetcher.dram_bytes", 8609952.7679999936, false},
+    {"stage.fetcher.energy_pj", 11561760, false},
+    {"stage.pv.busy_cycles", 455100, false},
+    {"stage.pv.dram_bytes", 0, false},
+    {"stage.pv.energy_pj", 298073318.40000159, false},
+    {"stage.qk.busy_cycles", 645468, false},
+    {"stage.qk.dram_bytes", 0, false},
+    {"stage.qk.energy_pj", 423640840.39679992, false},
+    {"stage.softmax.busy_cycles", 645468, false},
+    {"stage.softmax.dram_bytes", 0, false},
+    {"stage.softmax.energy_pj", 280051036.3199991, false},
+    {"stage.topk.busy_cycles", 646212, false},
+    {"stage.topk.dram_bytes", 0, false},
+    {"stage.topk.energy_pj", 38201287.5, false},
+    {"stage.zero_eliminator.busy_cycles", 3160, false},
+    {"stage.zero_eliminator.dram_bytes", 0, false},
+    {"stage.zero_eliminator.energy_pj", 0, false},
 };
 
 Metrics
@@ -224,6 +319,71 @@ TEST(GoldenRegression, Bert) { checkCombo("bert"); }
 TEST(GoldenRegression, Memnet) { checkCombo("memnet"); }
 TEST(GoldenRegression, BeamSearch) { checkCombo("beam-search"); }
 TEST(GoldenRegression, BatchOf8) { checkCombo("batch-of-8"); }
+
+/// GPT-2 Small 512 + 16 through SpAttenAccelerator::run, full policy.
+RunResult
+runStatSurface()
+{
+    WorkloadSpec w;
+    w.name = "gpt2-stats";
+    w.model = ModelSpec::gpt2Small();
+    w.summarize_len = 512;
+    w.generate_len = 16;
+    SpAttenAccelerator accel;
+    return accel.run(w, PruningPolicy{});
+}
+
+/// One GPT-2 Small DecodeSession: prefill over 256 tokens, then 8
+/// decode steps, full policy.
+RunResult
+sessionStatSurface()
+{
+    WorkloadSpec w;
+    w.name = "gpt2-session-stats";
+    w.model = ModelSpec::gpt2Small();
+    w.summarize_len = 256;
+    w.generate_len = 8;
+    DecodeSession session(SpAttenConfig{}, w, PruningPolicy{});
+    session.prefill();
+    while (!session.done())
+        session.decodeStep();
+    return session.finalize();
+}
+
+template <std::size_t N>
+void
+checkStats(const char* table, const RunResult& r,
+           const StatGolden (&golden)[N])
+{
+    if (std::getenv("SPATTEN_GOLDEN_DUMP") != nullptr) {
+        std::printf("constexpr StatGolden %s[] = {\n", table);
+        for (const auto& [name, value] : r.stats.all())
+            std::printf("    {\"%s\", %.17g, %s},\n", name.c_str(), value,
+                        r.stats.isGauge(name) ? "true" : "false");
+        std::printf("};\n");
+        GTEST_SKIP() << "dump mode: golden table printed, nothing checked";
+    }
+    ASSERT_EQ(r.stats.all().size(), N) << table << GOLDEN_RECIPE;
+    std::size_t i = 0;
+    for (const auto& [name, value] : r.stats.all()) {
+        const StatGolden& g = golden[i++];
+        EXPECT_EQ(name, g.name) << table << GOLDEN_RECIPE;
+        EXPECT_EQ(value, g.value)
+            << table << " " << name << " drifted" << GOLDEN_RECIPE;
+        EXPECT_EQ(r.stats.isGauge(name), g.gauge)
+            << table << " " << name << " changed kind" << GOLDEN_RECIPE;
+    }
+}
+
+TEST(GoldenRegression, RunStatSurface)
+{
+    checkStats("kRunStats", runStatSurface(), kRunStats);
+}
+
+TEST(GoldenRegression, SessionStatSurface)
+{
+    checkStats("kSessionStats", sessionStatSurface(), kSessionStats);
+}
 
 // The goldens are only trustworthy if a combo is a pure function: two
 // evaluations in one process must agree bit for bit.

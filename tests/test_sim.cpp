@@ -2,6 +2,10 @@
 /// and the stats registry.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim/clock.hpp"
 #include "sim/fifo.hpp"
 #include "sim/stats.hpp"
@@ -190,6 +194,34 @@ TEST(StatSet, ToStringContainsNames)
     s.add("alpha", 1.0);
     const std::string out = s.toString();
     EXPECT_NE(out.find("alpha"), std::string::npos);
+}
+
+TEST(StatSet, InternedAndStringWritesShareEntriesInNameOrder)
+{
+    // Insertion order and write style (interned StatName or plain
+    // string) never change the entries or their name order.
+    static const StatName kZeta("zeta");
+    StatSet a;
+    a.add(kZeta, 1.0);
+    a.set("mid", 2.0);
+    a.add("alpha", 3.0);
+    a.add("zeta", 4.0);
+    StatSet b;
+    b.add("alpha", 3.0);
+    b.set(StatName("mid"), 2.0);
+    b.add("zeta", 5.0);
+
+    std::vector<std::pair<std::string, double>> rows_a, rows_b;
+    for (const auto& [name, value] : a.all())
+        rows_a.emplace_back(name, value);
+    for (const auto& [name, value] : b.all())
+        rows_b.emplace_back(name, value);
+    const std::vector<std::pair<std::string, double>> want = {
+        {"alpha", 3.0}, {"mid", 2.0}, {"zeta", 5.0}};
+    EXPECT_EQ(rows_a, want);
+    EXPECT_EQ(rows_b, want);
+    EXPECT_TRUE(a.isGauge("mid"));
+    EXPECT_FALSE(a.isGauge("zeta"));
 }
 
 // ---------------------------------------------------------------------
