@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "accel/pipeline.hpp"
-#include "serve/batch_runner.hpp"
 #include "serve/continuous_batch_scheduler.hpp"
 
 namespace spatten {
@@ -74,7 +73,7 @@ struct BenchRecord
     /// JSON fields so BENCH_serving.json carries the latency story —
     /// chunk-size sweeps read as an ITL-p99 curve, and queue-delay
     /// percentiles make admission latency visible, not just TTFT.
-    /// Single-workload records (recordFromRun/recordFromBatch) keep
+    /// Single-workload records (recordFromRun) keep
     /// the legacy five-field schema.
     bool has_serving = false;
     double ttft_p99_s = 0;
@@ -124,18 +123,6 @@ recordFromServe(const std::string& workload, const ServeReport& r)
     rec.kv_promoted_blocks = static_cast<double>(r.kv_promoted_blocks);
     rec.kv_migrated_bytes = static_cast<double>(r.kv_migrated_bytes);
     return rec;
-}
-
-/** The BENCH_*.json record of one BatchRunner batch (simulated totals,
- *  identical at every thread count). */
-inline BenchRecord
-recordFromBatch(const std::string& workload, const BatchResult& b)
-{
-    double cycles = 0;
-    for (const RunResult& r : b.results)
-        cycles += static_cast<double>(r.cycles);
-    return {workload, cycles, b.total_seconds, b.aggregate_tflops,
-            b.dram_reduction};
 }
 
 /** Escape backslashes and double quotes for a JSON string literal. */

@@ -1,16 +1,18 @@
 /// Quickstart: simulate a GPT-2 generation workload on the SpAtten
 /// accelerator with the paper's pruning + progressive-quantization
-/// policy, and compare against a dense run and a GPU baseline.
+/// policy, compare against a dense run and a GPU baseline, and serve a
+/// few requests through the continuous-batching scheduler.
 ///
 /// Build & run:
 ///   cmake -B build -G Ninja && cmake --build build
 ///   ./build/example_quickstart
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "accel/spatten_accelerator.hpp"
 #include "baselines/platform_model.hpp"
-#include "serve/batch_runner.hpp"
+#include "serve/continuous_batch_scheduler.hpp"
 
 int
 main()
@@ -75,16 +77,21 @@ main()
                     pruned.stats.get(key));
     }
 
-    // 6. Serve a small batch concurrently: results are bit-identical to
-    //    a single-threaded run, only the wall clock changes.
-    const BatchResult batch = accel.runBatch(
-        {{workload, policy, 1}, {workload, policy, 2},
-         {workload, PruningPolicy::disabled(), 3}},
-        /*num_threads=*/2);
-    std::printf("\nBatch of %zu: p50 %.3f ms, p99 %.3f ms, "
-                "%.2f aggregate TFLOPS, %.1fx DRAM reduction\n",
-                batch.results.size(), batch.p50_seconds * 1e3,
-                batch.p99_seconds * 1e3, batch.aggregate_tflops,
-                batch.dram_reduction);
+    // 6. Serve three requests arriving together through the
+    //    continuous-batching scheduler: one accelerator, every decode
+    //    iteration advancing all resident requests at once.
+    std::vector<TracedRequest> trace(3);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        trace[i].id = i;
+        trace[i].workload = workload;
+        trace[i].policy = i < 2 ? policy : PruningPolicy::disabled();
+        trace[i].seed = i + 1;
+    }
+    const ServeReport served = ContinuousBatchScheduler().run(trace);
+    std::printf("\nServed %zu requests: TTFT p50 %.3f ms, ITL p99 %.3f ms, "
+                "%.0f tokens/s, %.1fx DRAM reduction\n",
+                served.requests.size(), served.ttft_p50_s * 1e3,
+                served.itl_p99_s * 1e3, served.tokens_per_s,
+                served.dram_reduction);
     return 0;
 }

@@ -78,7 +78,6 @@ class AttentionGraph
 
     /** Enable/disable the decode-step replay memo (default on). */
     void setStepMemo(bool on) { memo_enabled_ = on; }
-    bool stepMemoEnabled() const { return memo_enabled_; }
     /** Decode steps served from the replay memo so far. */
     std::size_t memoReplays() const { return memo_replays_; }
     /** Route HBM requests through the pre-fast-path reference model

@@ -1,7 +1,5 @@
 #include "accel/decode_session.hpp"
 
-#include <algorithm>
-
 #include "common/logging.hpp"
 
 namespace spatten {
@@ -10,113 +8,62 @@ DecodeSession::DecodeSession(const SpAttenConfig& cfg,
                              const WorkloadSpec& workload,
                              const PruningPolicy& policy,
                              std::uint64_t request_seed)
-    : workload_(workload), graph_(cfg, workload, policy, request_seed)
+    : ProtocolSession(workload), graph_(cfg, workload, policy, request_seed)
 {
-    SPATTEN_ASSERT(workload_.summarize_len >= 1, "empty prompt");
     // The unpruned trajectory peaks at summarize + generate tokens; the
     // pruned one only shrinks from there, so this bound covers both.
-    SPATTEN_ASSERT(workload_.summarize_len + workload_.generate_len <=
+    SPATTEN_ASSERT(workload.summarize_len + workload.generate_len <=
                        cfg.max_context,
                    "context %zu exceeds SRAM-backed max %zu",
-                   workload_.summarize_len + workload_.generate_len,
+                   workload.summarize_len + workload.generate_len,
                    cfg.max_context);
 }
 
 double
-DecodeSession::prefill()
+DecodeSession::chunkPass(std::size_t offset, std::size_t len)
 {
-    return prefillWithCachedPrefix(0);
-}
-
-double
-DecodeSession::prefillWithCachedPrefix(std::size_t cached_prefix_tokens)
-{
-    SPATTEN_ASSERT(!prefilled_, "prefill() called twice");
-    if (workload_.skip_summarization)
-        return prefillChunk(0, workload_.summarize_len);
-    // Always recompute at least the last prompt token (vLLM semantics:
-    // a fully cached prompt still needs a pass to emit first logits).
-    const std::size_t cached =
-        std::min(cached_prefix_tokens, workload_.summarize_len - 1);
-    return prefillChunk(cached, workload_.summarize_len - cached);
-}
-
-double
-DecodeSession::prefillChunk(std::size_t offset, std::size_t len)
-{
-    SPATTEN_ASSERT(!prefilled_, "prefillChunk() after prefill completed");
-    const std::size_t prompt = workload_.summarize_len;
-    SPATTEN_ASSERT(len >= 1 && offset + len <= prompt,
-                   "chunk [%zu, %zu) outside the %zu-token prompt",
-                   offset, offset + len, prompt);
-    SPATTEN_ASSERT(prefill_pos_ == 0 || offset == prefill_pos_,
-                   "non-contiguous chunk at %zu (expected %zu)", offset,
-                   prefill_pos_);
-    if (workload_.skip_summarization) {
-        // Pre-summarized prompt: the KV cache exists but no prefill
-        // compute is charged, matching SpAttenPipeline's methodology.
-        prefilled_ = true;
-        prefill_pos_ = prompt;
-        kv_len_ = prompt;
-        kv_trace_.push_back(kv_len_);
-        return 0.0;
-    }
     const double before = graph_.elapsedSeconds();
-    // The chunk's queries attend to the causal context they close
-    // (tokens [0, offset + len)). beginPass resets the cascade state,
-    // so each chunk prunes from its own entering context — intermediate
-    // survivor counts are transient, and the final chunk (entering with
-    // the full prompt) reproduces the monolithic prefill's KV exactly.
     graph_.runPass(len, offset + len, false);
-    prefill_pos_ = offset + len;
     // Cumulative: nothing but prefill chunks has run on the graph yet,
     // so the graph's elapsed time *is* the prefill share — and it is
     // already correct at a mid-prefill eviction's finalize().
     prefill_seconds_ = graph_.elapsedSeconds();
-    if (prefill_pos_ == prompt) {
-        prefilled_ = true;
-        kv_len_ = graph_.context().alive_tokens;
-        kv_trace_.push_back(kv_len_);
-    }
     return graph_.elapsedSeconds() - before;
 }
 
 double
-DecodeSession::decodeStep()
+DecodeSession::decodePass(std::size_t ctx)
 {
-    const std::size_t layers = beginDecodeStep();
+    const double before = graph_.elapsedSeconds();
+    const std::size_t layers = graph_.beginDecodePass(ctx);
     for (std::size_t l = 0; l < layers; ++l)
         graph_.stepDecodeLayer();
-    return endDecodeStep();
+    graph_.finishDecodePass();
+    return graph_.elapsedSeconds() - before;
 }
 
 std::size_t
 DecodeSession::beginDecodeStep()
 {
-    SPATTEN_ASSERT(prefilled_, "decodeStep() before prefill()");
-    SPATTEN_ASSERT(!done(), "decodeStep() past generate_len");
+    const std::size_t ctx = beginStep();
     step_before_s_ = graph_.elapsedSeconds();
-    // The new token's K/V joins the pruned survivors of the last pass.
-    return graph_.beginDecodePass(kv_len_ + 1);
+    return graph_.beginDecodePass(ctx);
 }
 
 double
 DecodeSession::endDecodeStep()
 {
     graph_.finishDecodePass();
-    kv_len_ = graph_.context().alive_tokens;
-    kv_trace_.push_back(kv_len_);
-    ++tokens_;
-    return graph_.elapsedSeconds() - step_before_s_;
+    return endStep(graph_.elapsedSeconds() - step_before_s_);
 }
 
 RunResult
 DecodeSession::finalize() const
 {
-    // No prefilled_ assert: a session evicted mid-prefill (between
+    // No prefilled() assert: a session evicted mid-prefill (between
     // chunks) finalizes too, accounting the wasted partial pass.
     RunResult res;
-    res.workload = workload_.name;
+    res.workload = workload().name;
     res.summarize_seconds = prefill_seconds_;
     res.generate_seconds = graph_.elapsedSeconds() - prefill_seconds_;
     graph_.finalize(res);

@@ -52,7 +52,7 @@ struct DecodeResult
 };
 
 /** One in-flight generative request on one simulated accelerator. */
-class DecodeSession : public BackendSession
+class DecodeSession final : public ProtocolSession
 {
   public:
     DecodeSession(const SpAttenConfig& cfg, const WorkloadSpec& workload,
@@ -65,101 +65,23 @@ class DecodeSession : public BackendSession
     DecodeSession& operator=(const DecodeSession&) = delete;
 
     /**
-     * Process the prompt (summarization pass) and establish the initial
-     * cascade-pruned KV state. Workloads with skip_summarization (the
-     * paper's GPT-2 methodology: a pre-summarized sentence) charge no
-     * prefill time and enter decode with the full unpruned prompt KV.
-     * @return simulated seconds of the pass.
-     */
-    double prefill() override;
-
-    /**
-     * Prefill with the first @p cached_prefix_tokens tokens' KV already
-     * resident (mapped copy-free by the serving layer's shared-prefix
-     * cache): only the remaining suffix queries run through the stage
-     * graph, against the full prompt context. Cascade pruning depends
-     * only on the entering context length and the schedule — never on
-     * the query count — so the pruned KV trajectory (and with it every
-     * decode step) is bit-identical to a cold-cache prefill; only the
-     * prefill compute shrinks. The hint is capped at summarize_len - 1:
-     * like vLLM, the last prompt token is always recomputed so a fully
-     * cached prompt still produces its first logits.
-     */
-    double prefillWithCachedPrefix(std::size_t cached_prefix_tokens)
-        override;
-
-    /**
-     * One chunk of a split prefill: run prompt tokens
-     * [offset, offset + len) as the pass's queries against the causal
-     * context offset + len. ExecutionContext::beginPass resets the
-     * cascade state fresh per pass, so pruning is a function of the
-     * *entering context length* alone — the final chunk enters with the
-     * full prompt context and therefore leaves exactly the KV state a
-     * monolithic prefill would, making every subsequent decode step
-     * bit-identical to the unchunked run (pinned by
-     * tests/test_chunked_prefill.cpp); only the prefill compute is
-     * spread (and shrunk — earlier chunks attend to shorter contexts)
-     * across iterations. prefilled() flips at the final chunk.
-     */
-    double prefillChunk(std::size_t offset, std::size_t len) override;
-
-    /**
-     * Generate one token: run a single-query generation pass against the
-     * carried KV plus the previous step's token, then adopt the pass's
-     * pruned survivor count as the next KV length.
-     * @return simulated seconds of the step.
-     */
-    double decodeStep() override;
-
-    /**
      * Layer-stepped decode for batched lane-interleaved evaluation
      * (SpAttenAccelerator::stepDecodeBatch): beginDecodeStep() opens
      * the pass and returns the number of stepDecodeLayer() calls owed
      * (0 when the step was served whole from the replay memo);
      * endDecodeStep() lands the KV bookkeeping and returns the step's
      * simulated seconds. The sequence begin / stepLayer x N / end is
-     * exactly decodeStep() — decodeStep() itself runs through it.
+     * exactly decodeStep().
      */
     std::size_t beginDecodeStep();
     void stepDecodeLayer() { graph_.stepDecodeLayer(); }
     double endDecodeStep();
 
-    bool prefilled() const override { return prefilled_; }
-
-    /** All generate_len tokens emitted (a 0-token request is done at
-     *  prefill). */
-    bool done() const override
-    {
-        return prefilled_ && tokens_ >= workload_.generate_len;
-    }
-
-    /** Current cascade-pruned KV length (survivors of the last pass). */
-    std::size_t kvLength() const override { return kv_len_; }
-
     /** Bytes one token of this session's KV cache occupies. */
     std::size_t kvBytesPerToken() const
     {
-        return spatten::kvBytesPerToken(workload_.model);
+        return spatten::kvBytesPerToken(workload().model);
     }
-
-    /**
-     * Resident KV-cache bytes right now (cascade-pruned length x bytes
-     * per token), before any allocator block rounding. Introspection
-     * only: a serving-layer KvPool accounts in token counts and applies
-     * its own block rounding via KvPool::bytesForTokens.
-     */
-    std::size_t kvBytes() const { return kv_len_ * kvBytesPerToken(); }
-
-    std::size_t tokensGenerated() const { return tokens_; }
-    std::size_t tokensTotal() const { return workload_.generate_len; }
-
-    /** KV survivor count after prefill and after each decode step. */
-    const std::vector<std::size_t>& kvTrace() const override
-    {
-        return kv_trace_;
-    }
-
-    const WorkloadSpec& workload() const override { return workload_; }
 
     /** Total simulated seconds consumed so far (prefill + steps). */
     double elapsedSeconds() const { return graph_.elapsedSeconds(); }
@@ -181,15 +103,30 @@ class DecodeSession : public BackendSession
     RunResult finalize() const override;
 
   private:
-    WorkloadSpec workload_;
+    /**
+     * Run the chunk's queries against the causal context offset + len.
+     * ExecutionContext::beginPass resets the cascade state fresh per
+     * pass, so pruning is a function of the *entering context length*
+     * alone, never of the query count: a cached-prefix prefill or the
+     * final chunk of a split one (entering with the full prompt) leaves
+     * exactly the KV state a monolithic prefill would, and every later
+     * decode step is bit-identical (pinned by
+     * tests/test_chunked_prefill.cpp). Only the prefill compute shrinks.
+     */
+    double chunkPass(std::size_t offset, std::size_t len) override;
+
+    /** A single-query generation pass against @p ctx tokens. */
+    double decodePass(std::size_t ctx) override;
+
+    /** The cascade-pruned survivors of the last pass. */
+    std::size_t survivors(std::size_t) const override
+    {
+        return graph_.context().alive_tokens;
+    }
+
     AttentionGraph graph_;
-    std::size_t kv_len_ = 0;
-    std::size_t tokens_ = 0;
-    bool prefilled_ = false;
-    std::size_t prefill_pos_ = 0; ///< Prompt tokens processed by chunks.
     double prefill_seconds_ = 0;
     double step_before_s_ = 0; ///< Elapsed at beginDecodeStep().
-    std::vector<std::size_t> kv_trace_;
 };
 
 } // namespace spatten

@@ -4,7 +4,6 @@
 
 #include "accel/decode_session.hpp"
 #include "common/logging.hpp"
-#include "serve/batch_runner.hpp"
 
 namespace spatten {
 
@@ -19,13 +18,6 @@ SpAttenAccelerator::run(const WorkloadSpec& workload,
                         std::uint64_t request_seed)
 {
     return pipeline_.run(workload, policy, request_seed);
-}
-
-BatchResult
-SpAttenAccelerator::runBatch(const std::vector<BatchRequest>& batch,
-                             std::size_t num_threads) const
-{
-    return BatchRunner(cfg_, BatchRunnerConfig{num_threads}).run(batch);
 }
 
 DecodeResult

@@ -15,11 +15,6 @@
 
 namespace spatten {
 
-// The serve layer sits on top of the accel pipeline; the facade only
-// forwards to it, so the full definitions stay in serve/batch_runner.hpp
-// (include it to use runBatch's argument/result types).
-struct BatchRequest;
-struct BatchResult;
 // Defined in accel/decode_session.hpp (include it to use runDecode's
 // result type).
 struct DecodeResult;
@@ -50,14 +45,6 @@ class SpAttenAccelerator : public AcceleratorBackend
     /** Simulate attention layers of a workload under a policy. */
     RunResult run(const WorkloadSpec& workload, const PruningPolicy& policy,
                   std::uint64_t request_seed = kDefaultRequestSeed);
-
-    /**
-     * Serve a batch of requests across @p num_threads workers
-     * (0 = one per hardware thread). Deterministic: per-request results
-     * are bit-identical at any thread count.
-     */
-    BatchResult runBatch(const std::vector<BatchRequest>& batch,
-                         std::size_t num_threads = 0) const;
 
     /**
      * Run a full prefill + token-by-token decode loop through a

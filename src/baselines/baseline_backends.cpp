@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.hpp"
-
 namespace spatten {
 
 namespace {
@@ -19,126 +17,20 @@ namespace {
  * baselines fetch everything before any pruning decision, so their
  * dramReduction() is identically 1.
  */
-class DenseKvSession : public BackendSession
+class DenseKvSession : public ProtocolSession
 {
   public:
     explicit DenseKvSession(const WorkloadSpec& workload)
-        : workload_(workload)
+        : ProtocolSession(workload)
     {
-        SPATTEN_ASSERT(workload_.summarize_len >= 1, "empty prompt");
     }
-
-    double prefill() override { return prefillWithCachedPrefix(0); }
-
-    /**
-     * Cached-prefix prefill: the serving layer already holds the first
-     * @p cached tokens' K/V, so only the suffix queries run. The
-     * one-shot baseline models price a full q x ctx pass; attention
-     * work is linear in the query rows at fixed context, so the
-     * executed share (time, fetched bytes, energy) scales by the
-     * suffix fraction while the *dense* FLOP reference keeps the full
-     * prompt — the skipped work shows up as a compute reduction, not a
-     * redefinition of the workload. Capped at summarize_len - 1: the
-     * last prompt token is always recomputed (vLLM semantics).
-     */
-    double prefillWithCachedPrefix(std::size_t cached) override
-    {
-        SPATTEN_ASSERT(!prefilled_, "prefill() called twice");
-        if (workload_.skip_summarization)
-            return prefillChunk(0, workload_.summarize_len);
-        cached = std::min(cached, workload_.summarize_len - 1);
-        return prefillChunk(cached, workload_.summarize_len - cached);
-    }
-
-    /**
-     * One chunk of a split prefill: prompt tokens [offset, offset+len)
-     * attend to the causal context they close. The one-shot baseline
-     * models price a full prompt x prompt pass; attention work is
-     * proportional to the query x context product, so the chunk's
-     * executed share (time, fetched bytes, energy) scales by
-     * len/prompt x (offset+len)/prompt — which for a chunk reaching
-     * the end of the prompt reduces to the suffix fraction
-     * prefillWithCachedPrefix has always charged (bit-identical in
-     * the one-chunk case). The *dense* FLOP reference keeps the full
-     * prompt: skipped/cheapened work is a compute reduction, not a
-     * redefinition of the workload.
-     */
-    double prefillChunk(std::size_t offset, std::size_t len) override
-    {
-        SPATTEN_ASSERT(!prefilled_,
-                       "prefillChunk() after prefill completed");
-        const std::size_t prompt = workload_.summarize_len;
-        SPATTEN_ASSERT(len >= 1 && offset + len <= prompt,
-                       "chunk [%zu, %zu) outside the %zu-token prompt",
-                       offset, offset + len, prompt);
-        SPATTEN_ASSERT(prefill_pos_ == 0 || offset == prefill_pos_,
-                       "non-contiguous chunk at %zu (expected %zu)",
-                       offset, prefill_pos_);
-        double s = 0.0;
-        // Pre-summarized prompts charge nothing, matching the SpAtten
-        // methodology (the KV cache exists but no pass runs).
-        if (!workload_.skip_summarization) {
-            const double whole = static_cast<double>(prompt);
-            double scale = static_cast<double>(len) / whole;
-            if (offset + len < prompt)
-                scale *= static_cast<double>(offset + len) / whole;
-            const double f0 = flops_, b0 = dram_bytes_;
-            const double cj0 = compute_j_, dj0 = dram_j_;
-            const double d0 = dense_flops_;
-            s = prefillPass() * scale;
-            flops_ = f0 + (flops_ - f0) * scale;
-            dram_bytes_ = b0 + (dram_bytes_ - b0) * scale;
-            compute_j_ = cj0 + (compute_j_ - cj0) * scale;
-            dram_j_ = dj0 + (dram_j_ - dj0) * scale;
-            // The full-prompt dense reference lands exactly once, with
-            // the chunk that completes the prompt — partial chunks must
-            // not re-add it every pass (executed totals above are the
-            // per-chunk shares; the dense reference is per prompt).
-            if (offset + len < prompt)
-                dense_flops_ = d0;
-        }
-        prefill_pos_ = offset + len;
-        prefill_seconds_ += s;
-        elapsed_ += s;
-        if (prefill_pos_ == prompt || workload_.skip_summarization) {
-            prefilled_ = true;
-            kv_len_ = prompt;
-            kv_trace_.push_back(kv_len_);
-        }
-        return s;
-    }
-
-    double decodeStep() override
-    {
-        SPATTEN_ASSERT(prefilled_, "decodeStep() before prefill()");
-        SPATTEN_ASSERT(!done(), "decodeStep() past generate_len");
-        // The new token attends to the full dense context.
-        const double s = stepPass(kv_len_ + 1);
-        ++kv_len_;
-        ++tokens_;
-        elapsed_ += s;
-        kv_trace_.push_back(kv_len_);
-        return s;
-    }
-
-    bool prefilled() const override { return prefilled_; }
-    bool done() const override
-    {
-        return prefilled_ && tokens_ >= workload_.generate_len;
-    }
-    std::size_t kvLength() const override { return kv_len_; }
-    const std::vector<std::size_t>& kvTrace() const override
-    {
-        return kv_trace_;
-    }
-    const WorkloadSpec& workload() const override { return workload_; }
 
     RunResult finalize() const override
     {
-        // No prefilled_ assert: a session evicted mid-prefill (between
+        // No prefilled() assert: a session evicted mid-prefill (between
         // chunks) finalizes too, accounting the wasted partial pass.
         RunResult res;
-        res.workload = workload_.name;
+        res.workload = workload().name;
         res.seconds = elapsed_;
         res.summarize_seconds = prefill_seconds_;
         res.generate_seconds = elapsed_ - prefill_seconds_;
@@ -162,7 +54,6 @@ class DenseKvSession : public BackendSession
     /** Clock used to express elapsed time as RunResult cycles. */
     virtual double clockGhz() const = 0;
 
-    WorkloadSpec workload_;
     double flops_ = 0;
     double dense_flops_ = 0;
     double dram_bytes_ = 0;
@@ -170,13 +61,52 @@ class DenseKvSession : public BackendSession
     double dram_j_ = 0;
 
   private:
-    std::size_t kv_len_ = 0;
-    std::size_t tokens_ = 0;
-    bool prefilled_ = false;
-    std::size_t prefill_pos_ = 0; ///< Prompt tokens processed by chunks.
+    /**
+     * The one-shot baseline models price a full prompt x prompt pass;
+     * attention work is proportional to the query x context product,
+     * so the chunk's executed share (time, fetched bytes, energy)
+     * scales by len/prompt x (offset+len)/prompt — which for a chunk
+     * reaching the end of the prompt (a cached-prefix prefill) reduces
+     * to the suffix fraction. The *dense* FLOP reference keeps the full
+     * prompt: skipped/cheapened work is a compute reduction, not a
+     * redefinition of the workload.
+     */
+    double chunkPass(std::size_t offset, std::size_t len) override
+    {
+        const std::size_t prompt = workload().summarize_len;
+        const double whole = static_cast<double>(prompt);
+        double scale = static_cast<double>(len) / whole;
+        if (offset + len < prompt)
+            scale *= static_cast<double>(offset + len) / whole;
+        const double f0 = flops_, b0 = dram_bytes_;
+        const double cj0 = compute_j_, dj0 = dram_j_;
+        const double d0 = dense_flops_;
+        const double s = prefillPass() * scale;
+        flops_ = f0 + (flops_ - f0) * scale;
+        dram_bytes_ = b0 + (dram_bytes_ - b0) * scale;
+        compute_j_ = cj0 + (compute_j_ - cj0) * scale;
+        dram_j_ = dj0 + (dram_j_ - dj0) * scale;
+        // The full-prompt dense reference lands exactly once, with the
+        // chunk that completes the prompt — partial chunks must not
+        // re-add it every pass (executed totals above are the per-chunk
+        // shares; the dense reference is per prompt).
+        if (offset + len < prompt)
+            dense_flops_ = d0;
+        prefill_seconds_ += s;
+        elapsed_ += s;
+        return s;
+    }
+
+    /** The new token attends to the full dense context. */
+    double decodePass(std::size_t ctx) override
+    {
+        const double s = stepPass(ctx);
+        elapsed_ += s;
+        return s;
+    }
+
     double prefill_seconds_ = 0;
     double elapsed_ = 0;
-    std::vector<std::size_t> kv_trace_;
 };
 
 /// DRAM energy at the fine-grained-DRAM rate the baseline one-shot
@@ -203,7 +133,7 @@ class A3Session final : public DenseKvSession
     double prefillPass() override
     {
         // The one-shot model prices exactly the discriminative pass.
-        WorkloadSpec prompt = workload_;
+        WorkloadSpec prompt = workload();
         prompt.generate_len = 0;
         const A3Result r = A3Model(cfg_).run(prompt);
         flops_ += r.dense_flops / cfg_.approx_speedup;
@@ -216,7 +146,7 @@ class A3Session final : public DenseKvSession
 
     double stepPass(std::size_t ctx) override
     {
-        const ModelSpec& m = workload_.model;
+        const ModelSpec& m = workload().model;
         const double d = static_cast<double>(m.d_head);
         const double h = static_cast<double>(m.num_heads);
         const double c = static_cast<double>(ctx);
@@ -274,7 +204,7 @@ class MnnFastSession final : public DenseKvSession
   private:
     double prefillPass() override
     {
-        WorkloadSpec prompt = workload_;
+        WorkloadSpec prompt = workload();
         prompt.generate_len = 0;
         const MnnFastResult r = MnnFastModel(cfg_).run(prompt);
         // Executed = QK dense + PV shrunk by the local value pruning.
@@ -289,7 +219,7 @@ class MnnFastSession final : public DenseKvSession
 
     double stepPass(std::size_t ctx) override
     {
-        const ModelSpec& m = workload_.model;
+        const ModelSpec& m = workload().model;
         const double d = static_cast<double>(m.d_head);
         const double h = static_cast<double>(m.num_heads);
         const double c = static_cast<double>(ctx);
@@ -341,7 +271,7 @@ class PlatformSession final : public DenseKvSession
   private:
     double prefillPass() override
     {
-        WorkloadSpec prompt = workload_;
+        WorkloadSpec prompt = workload();
         prompt.generate_len = 0;
         const PlatformResult r =
             PlatformModel(spec_).attention(prompt);
@@ -357,7 +287,7 @@ class PlatformSession final : public DenseKvSession
         // The per-token generation term of PlatformModel::attention:
         // mat-vec per head at genvec_util, inflated by the Fig. 2
         // data-movement share plus the per-layer launch overhead.
-        const ModelSpec& m = workload_.model;
+        const ModelSpec& m = workload().model;
         const double d = static_cast<double>(m.d_head);
         const double h = static_cast<double>(m.num_heads);
         const double c = static_cast<double>(ctx);

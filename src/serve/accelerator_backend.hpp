@@ -109,6 +109,74 @@ class BackendSession
     virtual RunResult finalize() const = 0;
 };
 
+/**
+ * The session protocol written once: prefill entry points, the prefix
+ * cap, chunk contiguity, decode-step checks and the KV trace. A device
+ * session supplies only the pricing of a prompt chunk, of a decode
+ * pass, and how many tokens a pass leaves resident.
+ */
+class ProtocolSession : public BackendSession
+{
+  public:
+    double prefill() final { return prefillWithCachedPrefix(0); }
+
+    /** Capped at summarize_len - 1: like vLLM, the last prompt token is
+     *  always recomputed so a fully cached prompt still produces its
+     *  first logits. */
+    double prefillWithCachedPrefix(std::size_t cached_prefix_tokens) final;
+
+    /** Workloads with skip_summarization (a pre-summarized prompt, the
+     *  paper's GPT-2 methodology) charge nothing: the first chunk
+     *  completes the prefill with the full prompt KV resident. */
+    double prefillChunk(std::size_t offset, std::size_t len) final;
+
+    double decodeStep() final { return endStep(decodePass(beginStep())); }
+
+    bool prefilled() const final { return prefilled_; }
+    bool done() const final
+    {
+        return prefilled_ && tokens_ >= workload_.generate_len;
+    }
+    std::size_t kvLength() const final { return kv_len_; }
+    const std::vector<std::size_t>& kvTrace() const final
+    {
+        return kv_trace_;
+    }
+    const WorkloadSpec& workload() const final { return workload_; }
+
+    std::size_t tokensGenerated() const { return tokens_; }
+
+  protected:
+    explicit ProtocolSession(const WorkloadSpec& workload);
+
+    /** Price prompt tokens [offset, offset + len) as one pass whose
+     *  queries attend to the causal context offset + len.
+     *  @return simulated seconds of the pass. */
+    virtual double chunkPass(std::size_t offset, std::size_t len) = 0;
+
+    /** Run one decode pass entering with @p ctx tokens (the carried KV
+     *  plus the new token). @return simulated seconds of the pass. */
+    virtual double decodePass(std::size_t ctx) = 0;
+
+    /** Tokens the last pass left resident when it entered with @p ctx
+     *  tokens. Dense KV keeps them all. */
+    virtual std::size_t survivors(std::size_t ctx) const { return ctx; }
+
+    /** Check a decode step may run; @return the context it enters. */
+    std::size_t beginStep() const;
+
+    /** Land a finished decode pass of @p seconds; @return seconds. */
+    double endStep(double seconds);
+
+  private:
+    WorkloadSpec workload_;
+    std::size_t kv_len_ = 0;
+    std::size_t tokens_ = 0;
+    bool prefilled_ = false;
+    std::size_t prefill_pos_ = 0; ///< Prompt tokens processed by chunks.
+    std::vector<std::size_t> kv_trace_;
+};
+
 /** One accelerator type a serving fleet can be built from. */
 class AcceleratorBackend
 {

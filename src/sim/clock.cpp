@@ -1,6 +1,5 @@
 #include "sim/clock.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hpp"
@@ -19,32 +18,6 @@ ClockDomain::fromNs(double ns) const
 {
     SPATTEN_ASSERT(ns >= 0.0, "negative duration %f ns", ns);
     return static_cast<Cycles>(std::ceil(ns * freq_ghz_));
-}
-
-Resource::Resource(std::string name) : name_(std::move(name)) {}
-
-Cycles
-Resource::acquire(Cycles ready, Cycles occupancy)
-{
-    const Cycles start = std::max(ready, free_at_);
-    free_at_ = start + occupancy;
-    busy_cycles_ += occupancy;
-    return free_at_;
-}
-
-double
-Resource::utilization(Cycles total) const
-{
-    if (total == 0)
-        return 0.0;
-    return static_cast<double>(busy_cycles_) / static_cast<double>(total);
-}
-
-void
-Resource::reset()
-{
-    free_at_ = 0;
-    busy_cycles_ = 0;
 }
 
 } // namespace spatten

@@ -1,13 +1,9 @@
 /**
  * @file
- * Cycle bookkeeping for the SpAtten hardware model.
- *
- * The accelerator model is a resource-occupancy simulator: each hardware
- * unit is a Resource that can accept work when free and is busy for a
- * computed number of cycles. Stages on the critical path are fully
- * pipelined (Fig. 8), so the model advances per-unit "busy until" stamps
- * and the pipeline latency is the max over units — the same throughput
- * bound an RTL simulation of a fully-pipelined design converges to.
+ * Cycle bookkeeping for the SpAtten hardware model: the Cycles type
+ * every stage and the HBM model count in, and the clock domains that
+ * convert cycles to time. The per-stage occupancy itself lives in the
+ * stage graph (sim/stage_graph.hpp).
  */
 #ifndef SPATTEN_SIM_CLOCK_HPP
 #define SPATTEN_SIM_CLOCK_HPP
@@ -45,42 +41,6 @@ class ClockDomain
   private:
     double freq_ghz_;
     std::string name_;
-};
-
-/**
- * A pipelined hardware resource with an initiation interval of one
- * work-item per `occupancy` cycles. Tracks when the unit next becomes
- * free and how many cycles it has ever been busy (for utilization).
- */
-class Resource
-{
-  public:
-    explicit Resource(std::string name = "unit");
-
-    const std::string& name() const { return name_; }
-
-    /**
-     * Schedule a work item that wants to start at @p ready and occupies
-     * the unit for @p occupancy cycles.
-     * @return the cycle at which the item completes.
-     */
-    Cycles acquire(Cycles ready, Cycles occupancy);
-
-    /** Earliest cycle at which new work could start. */
-    Cycles freeAt() const { return free_at_; }
-
-    /** Total cycles this unit has been occupied. */
-    Cycles busyCycles() const { return busy_cycles_; }
-
-    /** Utilization in [0, 1] against a total elapsed cycle count. */
-    double utilization(Cycles total) const;
-
-    void reset();
-
-  private:
-    std::string name_;
-    Cycles free_at_ = 0;
-    Cycles busy_cycles_ = 0;
 };
 
 } // namespace spatten

@@ -62,7 +62,7 @@ struct ExecutionContext
     std::size_t max_context = 1024;
     /// Per-request PRNG seed: every stochastic stage (e.g. top-k pivot
     /// selection) derives its stream from this, so a request simulates
-    /// bit-identically regardless of which BatchRunner thread runs it.
+    /// bit-identically regardless of which thread or fleet slot runs it.
     /// The current occupancy model is analytic and draws nothing, so
     /// results are seed-independent today (pinned by tests).
     std::uint64_t request_seed = kDefaultRequestSeed;

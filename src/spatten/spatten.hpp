@@ -39,8 +39,7 @@
 #include "workload/benchmarks.hpp"
 #include "workload/synthetic_tasks.hpp"
 
-// Stage-graph execution engine and concurrent batch serving.
-#include "serve/batch_runner.hpp"
+// Stage-graph execution engine.
 #include "sim/stage_graph.hpp"
 #include "sim/stage_model.hpp"
 

@@ -1,7 +1,10 @@
 /// The AcceleratorBackend serving contract: capability/capacity
 /// reporting of all four backend types, dense-KV session semantics of
-/// the baseline adapters (A3, MNNFast, platforms), equivalence of the
-/// legacy all-SpAtten constructor and an explicit homogeneous fleet,
+/// the baseline adapters (A3, MNNFast, platforms), the session protocol
+/// every backend's sessions share (prefill entry points, the prefix
+/// cap, misuse deaths), concurrent stat interning from sessions on
+/// many threads, equivalence of the legacy all-SpAtten constructor and
+/// an explicit homogeneous fleet,
 /// heterogeneous SpAtten+A3 fleets end-to-end (completion, thread-count
 /// bit-identity, KV pressure with per-type budgets), capability-aware
 /// placement, and the tie-break regression: permuting equal-load fleet
@@ -10,11 +13,18 @@
 /// never by instance identity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
 
+#include "accel/decode_session.hpp"
 #include "accel/spatten_accelerator.hpp"
 #include "baselines/baseline_backends.hpp"
 #include "serve/continuous_batch_scheduler.hpp"
+#include "sim/stats.hpp"
 
 namespace spatten {
 namespace {
@@ -250,6 +260,212 @@ TEST(BaselineSessions, DecodeStepCostGrowsWithContext)
             prev = step;
         }
     }
+}
+
+using StatRow = std::tuple<std::string, double, bool>;
+
+/// One worker's stat registry: names every worker shares, names unique
+/// to @p tid, and a finalized SpAtten session's stats merged on top.
+std::vector<StatRow>
+buildWorkerStats(std::size_t tid)
+{
+    StatSet s;
+    for (std::size_t i = 0; i < 32; ++i) {
+        const double v = static_cast<double>(tid * 100 + i);
+        s.add("stat_race.shared." + std::to_string(i), v + 0.5);
+        s.set("stat_race.worker" + std::to_string(tid) + "." +
+                  std::to_string(i),
+              v);
+    }
+    DecodeSession session(SpAttenConfig{}, tinyWorkload(64 + 16 * tid, 3),
+                          PruningPolicy{}, tid);
+    session.prefill();
+    while (!session.done())
+        session.decodeStep();
+    s.merge(session.finalize().stats);
+    s.add("stat_race.shared.0", 1.0);
+
+    std::vector<StatRow> rows;
+    for (const auto& [name, value] : s.all())
+        rows.emplace_back(name, value, s.isGauge(name));
+    return rows;
+}
+
+// StatSet names are interned in one process-wide table. Workers that
+// intern fresh names concurrently (the shared ones racing each other)
+// must each end up with exactly the single-threaded registry; under
+// TSan this is the intern table's race check.
+TEST(SessionStats, ConcurrentStatSetsMatchSingleThreadedReference)
+{
+    constexpr std::size_t kWorkers = 8;
+    std::vector<std::vector<StatRow>> got(kWorkers);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kWorkers; ++t)
+        threads.emplace_back([&got, t] { got[t] = buildWorkerStats(t); });
+    for (auto& th : threads)
+        th.join();
+    // References run after the workers, so the workers are the ones
+    // that interned the stat_race.* names.
+    for (std::size_t t = 0; t < kWorkers; ++t) {
+        const std::vector<StatRow> want = buildWorkerStats(t);
+        ASSERT_EQ(got[t].size(), want.size()) << "worker " << t;
+        EXPECT_TRUE(got[t] == want) << "worker " << t;
+        EXPECT_TRUE(std::is_sorted(want.begin(), want.end()));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Session protocol conformance: every backend's sessions honour the
+// same prefill entry points, prefix cap and misuse checks
+// ---------------------------------------------------------------------
+
+class SessionProtocolTest
+    : public ::testing::TestWithParam<
+          std::shared_ptr<const AcceleratorBackend>>
+{
+  protected:
+    /// What one prefill + full decode of a session leaves observable.
+    struct Outcome
+    {
+        double prefill_s = 0;
+        std::vector<std::size_t> kv_trace;
+        Cycles cycles = 0;
+        double dram_bytes = 0;
+        double energy_j = 0;
+    };
+
+    template <typename Prefill>
+    Outcome serve(const WorkloadSpec& w, Prefill&& prefill) const
+    {
+        const auto s = open(w);
+        Outcome o;
+        o.prefill_s = prefill(*s);
+        EXPECT_TRUE(s->prefilled());
+        while (!s->done())
+            s->decodeStep();
+        o.kv_trace = s->kvTrace();
+        const RunResult r = s->finalize();
+        o.cycles = r.cycles;
+        o.dram_bytes = r.dram_bytes;
+        o.energy_j = r.energy.totalJ();
+        return o;
+    }
+
+    static void expectSame(const Outcome& a, const Outcome& b,
+                           const char* what)
+    {
+        EXPECT_EQ(a.prefill_s, b.prefill_s) << what;
+        EXPECT_EQ(a.kv_trace, b.kv_trace) << what;
+        EXPECT_EQ(a.cycles, b.cycles) << what;
+        EXPECT_EQ(a.dram_bytes, b.dram_bytes) << what;
+        EXPECT_EQ(a.energy_j, b.energy_j) << what;
+    }
+
+    std::unique_ptr<BackendSession> open(const WorkloadSpec& w) const
+    {
+        return GetParam()->makeSession(w, PruningPolicy{}, 3);
+    }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, SessionProtocolTest,
+    ::testing::ValuesIn(allBackends()),
+    [](const auto& param_info) {
+        std::string name = param_info.param->backendName();
+        for (char& c : name)
+            if (c == '-')
+                c = '_';
+        return name;
+    });
+
+TEST_P(SessionProtocolTest, PrefillEntryPointsAgree)
+{
+    const WorkloadSpec w = tinyWorkload(72, 4);
+    const Outcome whole =
+        serve(w, [](BackendSession& s) { return s.prefill(); });
+    EXPECT_GT(whole.prefill_s, 0.0);
+    expectSame(whole,
+               serve(w,
+                     [](BackendSession& s) {
+                         return s.prefillWithCachedPrefix(0);
+                     }),
+               "prefillWithCachedPrefix(0)");
+    expectSame(whole,
+               serve(w,
+                     [&w](BackendSession& s) {
+                         return s.prefillChunk(0, w.summarize_len);
+                     }),
+               "prefillChunk(0, prompt)");
+}
+
+TEST_P(SessionProtocolTest, OversizedCachedPrefixRecomputesLastToken)
+{
+    const WorkloadSpec w = tinyWorkload(72, 4);
+    const std::size_t p = w.summarize_len;
+    const Outcome capped = serve(w, [p](BackendSession& s) {
+        return s.prefillWithCachedPrefix(p - 1);
+    });
+    EXPECT_GT(capped.prefill_s, 0.0)
+        << "a fully cached prompt still runs its last token";
+    for (const std::size_t cached : {p, p + 1, 4 * p})
+        expectSame(capped,
+                   serve(w,
+                         [cached](BackendSession& s) {
+                             return s.prefillWithCachedPrefix(cached);
+                         }),
+                   "cached prefix >= prompt");
+    expectSame(capped,
+               serve(w,
+                     [p](BackendSession& s) {
+                         return s.prefillChunk(p - 1, 1);
+                     }),
+               "prefillChunk(prompt - 1, 1)");
+}
+
+TEST_P(SessionProtocolTest, MisuseDies)
+{
+    const WorkloadSpec w = tinyWorkload(64, 2);
+    EXPECT_DEATH(
+        {
+            const auto s = open(w);
+            s->prefill();
+            s->prefill();
+        },
+        "prefill\\(\\) called twice");
+    EXPECT_DEATH(
+        {
+            const auto s = open(w);
+            s->prefillChunk(0, 16);
+            s->prefillChunk(24, 8);
+        },
+        "non-contiguous chunk at 24 \\(expected 16\\)");
+    EXPECT_DEATH(
+        {
+            const auto s = open(w);
+            s->prefillChunk(60, 8);
+        },
+        "chunk \\[60, 68\\) outside the 64-token prompt");
+    EXPECT_DEATH(
+        {
+            const auto s = open(w);
+            s->prefill();
+            s->prefillChunk(0, 8);
+        },
+        "prefillChunk\\(\\) after prefill completed");
+    EXPECT_DEATH(
+        {
+            const auto s = open(w);
+            s->decodeStep();
+        },
+        "decodeStep\\(\\) before prefill\\(\\)");
+    EXPECT_DEATH(
+        {
+            const auto s = open(w);
+            s->prefill();
+            for (std::size_t t = 0; t <= w.generate_len; ++t)
+                s->decodeStep();
+        },
+        "decodeStep\\(\\) past generate_len");
 }
 
 // ---------------------------------------------------------------------

@@ -13,13 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "accel/decode_session.hpp"
 #include "accel/spatten_accelerator.hpp"
-#include "serve/batch_runner.hpp"
 
 namespace spatten {
 namespace {
@@ -148,15 +149,31 @@ fromRun(const RunResult& r)
             r.energy.totalJ()};
 }
 
-Metrics
-fromBatch(const BatchResult& b)
+/// One request of a multi-request combo, run on its own seed.
+struct Request
 {
+    WorkloadSpec workload;
+    PruningPolicy policy;
+    std::uint64_t seed;
+};
+
+/// Run @p requests one after another through SpAttenAccelerator::run,
+/// summing cycles and energy in request order; the DRAM reduction is
+/// summed dense bytes over summed fetched bytes.
+Metrics
+fromRuns(const std::vector<Request>& requests)
+{
+    SpAttenAccelerator accel;
     Metrics m;
-    for (const RunResult& r : b.results) {
+    double dram_bytes = 0, dram_bytes_dense = 0;
+    for (const Request& q : requests) {
+        const RunResult r = accel.run(q.workload, q.policy, q.seed);
         m.cycles += static_cast<double>(r.cycles);
         m.energy_j += r.energy.totalJ();
+        dram_bytes += r.dram_bytes;
+        dram_bytes_dense += r.dram_bytes_dense;
     }
-    m.dram_reduction = b.dram_reduction;
+    m.dram_reduction = dram_bytes_dense / dram_bytes;
     return m;
 }
 
@@ -226,14 +243,14 @@ runBeamSearch()
     w.summarize_len = 192;
     w.generate_len = 8;
     w.skip_summarization = true;
-    std::vector<BatchRequest> beams;
+    std::vector<Request> beams;
     for (std::uint64_t b = 0; b < 4; ++b)
         beams.push_back({w, PruningPolicy{}, b + 1});
-    return fromBatch(BatchRunner(SpAttenConfig{}, {1}).run(beams));
+    return fromRuns(beams);
 }
 
-/// A batch of 8 mixed requests (BERT + GPT-2, pruned and dense) through
-/// the BatchRunner, single-threaded for a stable service order.
+/// A batch of 8 mixed requests (BERT + GPT-2, pruned and dense), run
+/// in request order.
 Metrics
 runBatchOf8()
 {
@@ -246,7 +263,7 @@ runBatchOf8()
     gpt.model = ModelSpec::gpt2Small();
     gpt.summarize_len = 256;
     gpt.generate_len = 8;
-    std::vector<BatchRequest> batch;
+    std::vector<Request> batch;
     for (std::uint64_t i = 0; i < 4; ++i) {
         batch.push_back({bert, i % 2 ? PruningPolicy{}
                                      : PruningPolicy::disabled(),
@@ -255,7 +272,7 @@ runBatchOf8()
                                     : PruningPolicy{},
                          i + 100});
     }
-    return fromBatch(BatchRunner(SpAttenConfig{}, {1}).run(batch));
+    return fromRuns(batch);
 }
 
 Metrics

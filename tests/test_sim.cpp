@@ -1,5 +1,5 @@
-/// Tests for the simulation substrate: clock domains, resources, FIFOs
-/// and the stats registry.
+/// Tests for the simulation substrate: clock domains and the stats
+/// registry.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/clock.hpp"
-#include "sim/fifo.hpp"
 #include "sim/stats.hpp"
 
 namespace spatten {
@@ -30,78 +29,6 @@ TEST(ClockDomain, FromNsRoundsUp)
     ClockDomain clk(1.0);
     EXPECT_EQ(clk.fromNs(0.1), 1u);
     EXPECT_EQ(clk.fromNs(0.0), 0u);
-}
-
-TEST(Resource, SerializesWork)
-{
-    Resource r("mult");
-    EXPECT_EQ(r.acquire(0, 10), 10u);
-    // Second item ready at 5 must wait until 10.
-    EXPECT_EQ(r.acquire(5, 10), 20u);
-    // Item arriving after the unit is free starts immediately.
-    EXPECT_EQ(r.acquire(100, 5), 105u);
-    EXPECT_EQ(r.busyCycles(), 25u);
-}
-
-TEST(Resource, Utilization)
-{
-    Resource r;
-    r.acquire(0, 50);
-    EXPECT_DOUBLE_EQ(r.utilization(100), 0.5);
-    EXPECT_DOUBLE_EQ(r.utilization(0), 0.0);
-}
-
-TEST(Resource, ResetClears)
-{
-    Resource r;
-    r.acquire(0, 10);
-    r.reset();
-    EXPECT_EQ(r.freeAt(), 0u);
-    EXPECT_EQ(r.busyCycles(), 0u);
-}
-
-TEST(Fifo, FifoOrder)
-{
-    Fifo<int> f(4, "t");
-    f.push(1);
-    f.push(2);
-    f.push(3);
-    EXPECT_EQ(f.pop(), 1);
-    EXPECT_EQ(f.pop(), 2);
-    EXPECT_EQ(f.pop(), 3);
-    EXPECT_TRUE(f.empty());
-}
-
-TEST(Fifo, BackpressureWhenFull)
-{
-    Fifo<int> f(2);
-    EXPECT_TRUE(f.tryPush(1));
-    EXPECT_TRUE(f.tryPush(2));
-    EXPECT_TRUE(f.full());
-    EXPECT_FALSE(f.tryPush(3));
-    EXPECT_EQ(f.rejectedPushes(), 1u);
-    f.pop();
-    EXPECT_TRUE(f.tryPush(3));
-}
-
-TEST(Fifo, PeakOccupancyTracked)
-{
-    Fifo<int> f(8);
-    for (int i = 0; i < 5; ++i)
-        f.push(i);
-    for (int i = 0; i < 5; ++i)
-        f.pop();
-    f.push(42);
-    EXPECT_EQ(f.peakOccupancy(), 5u);
-    EXPECT_EQ(f.totalPushes(), 6u);
-}
-
-TEST(Fifo, FrontDoesNotPop)
-{
-    Fifo<int> f(2);
-    f.push(7);
-    EXPECT_EQ(f.front(), 7);
-    EXPECT_EQ(f.size(), 1u);
 }
 
 TEST(StatSet, AddAndGet)
