@@ -58,11 +58,16 @@ main()
                 "(ms)", "(us)", "(us)", "(req/s)", "(mean)", "(ms)");
     rule();
 
+    // @p slots default SpAtten slots sharing one backend.
+    const auto spattenFleet = [](std::size_t slots = 1) {
+        return AcceleratorFleet(
+            slots, std::make_shared<const SpAttenAccelerator>());
+    };
+
     std::vector<BenchRecord> records;
     ServeReport single_accel;
     for (const std::size_t accels : {1u, 2u, 4u}) {
         ContinuousBatchConfig sc;
-        sc.num_accelerators = accels;
         sc.max_active = 8;
         sc.slo_ttft_s = 25e-3;
         sc.slo_itl_s = 2e-3;
@@ -71,10 +76,10 @@ main()
         // every timestamp and per-request result — must match.
         sc.num_threads = 1;
         const ServeReport r1 =
-            ContinuousBatchScheduler(SpAttenConfig{}, sc).run(trace);
+            ContinuousBatchScheduler(spattenFleet(accels), sc).run(trace);
         sc.num_threads = 4;
         const ServeReport r4 =
-            ContinuousBatchScheduler(SpAttenConfig{}, sc).run(trace);
+            ContinuousBatchScheduler(spattenFleet(accels), sc).run(trace);
         for (std::size_t i = 0; i < trace.size(); ++i) {
             const ServedRequest &a = r1.requests[i], &b = r4.requests[i];
             if (a.sim.cycles != b.sim.cycles ||
@@ -162,10 +167,10 @@ main()
                     r.ttft_p99_s * 1e3);
     };
     const ServeReport dense =
-        ContinuousBatchScheduler(SpAttenConfig{}, mem_sc)
+        ContinuousBatchScheduler(spattenFleet(), mem_sc)
             .run(dense_trace);
     const ServeReport pruned =
-        ContinuousBatchScheduler(SpAttenConfig{}, mem_sc)
+        ContinuousBatchScheduler(spattenFleet(), mem_sc)
             .run(pruned_trace);
     showMem("mempress-dense", dense);
     showMem("mempress-pruned", pruned);
@@ -201,7 +206,7 @@ main()
     burst_sc.kv_capacity_bytes =
         kvBudgetForWorstRequest(burst_trace, 1.25, burst_sc);
     const ServeReport burst =
-        ContinuousBatchScheduler(SpAttenConfig{}, burst_sc)
+        ContinuousBatchScheduler(spattenFleet(), burst_sc)
             .run(burst_trace);
     showMem("burst-priority", burst);
     records.push_back(recordFromServe("burst-priority", burst));
@@ -226,7 +231,7 @@ main()
     const auto runChunked = [&](std::size_t chunk_tokens) {
         ContinuousBatchConfig sc = burst_sc;
         sc.prefill_chunk_tokens = chunk_tokens;
-        return ContinuousBatchScheduler(SpAttenConfig{}, sc)
+        return ContinuousBatchScheduler(spattenFleet(), sc)
             .run(burst_trace);
     };
     const auto showChunk = [&](const char* name, const ServeReport& r) {
@@ -422,7 +427,7 @@ main()
     const auto runCache = [&](bool enabled) {
         ContinuousBatchConfig sc = cache_sc;
         sc.enable_prefix_caching = enabled;
-        return ContinuousBatchScheduler(SpAttenConfig{}, sc)
+        return ContinuousBatchScheduler(spattenFleet(), sc)
             .run(sp_trace);
     };
     const auto showCache = [&](const char* name, const ServeReport& r) {
@@ -500,7 +505,7 @@ main()
     const auto runTiered = [&](double dram_mib) {
         ContinuousBatchConfig sc = tier_sc;
         sc.far_memory.capacity_gb = dram_mib / 1024.0;
-        return ContinuousBatchScheduler(SpAttenConfig{}, sc)
+        return ContinuousBatchScheduler(spattenFleet(), sc)
             .run(tier_trace);
     };
     struct TierPoint
@@ -564,11 +569,11 @@ main()
         sc.far_memory.capacity_gb = tier_points[2].dram_mib / 1024.0;
         sc.num_threads = 1;
         const ServeReport r1 =
-            ContinuousBatchScheduler(SpAttenConfig{}, sc)
+            ContinuousBatchScheduler(spattenFleet(), sc)
                 .run(tier_trace);
         sc.num_threads = 4;
         const ServeReport r4 =
-            ContinuousBatchScheduler(SpAttenConfig{}, sc)
+            ContinuousBatchScheduler(spattenFleet(), sc)
                 .run(tier_trace);
         for (std::size_t i = 0; i < tier_trace.size(); ++i) {
             if (r1.requests[i].finish_s != r4.requests[i].finish_s ||
@@ -629,14 +634,13 @@ main()
     const auto day_trace = generateDiurnalTrace(dtc);
 
     ContinuousBatchConfig day_sc;
-    day_sc.num_accelerators = 4;
     day_sc.max_active = 16;
     day_sc.slo_ttft_s = 25e-3;
     day_sc.slo_itl_s = 2e-3;
 
     const auto day_wall0 = std::chrono::steady_clock::now();
     const ServeReport day =
-        ContinuousBatchScheduler(SpAttenConfig{}, day_sc).run(day_trace);
+        ContinuousBatchScheduler(spattenFleet(4), day_sc).run(day_trace);
     const double day_wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       day_wall0)

@@ -7,6 +7,7 @@
 ///   cmake -B build -G Ninja && cmake --build build
 ///   ./build/example_quickstart
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -78,8 +79,8 @@ main()
     }
 
     // 6. Serve three requests arriving together through the
-    //    continuous-batching scheduler: one accelerator, every decode
-    //    iteration advancing all resident requests at once.
+    //    continuous-batching scheduler on a one-slot SpAtten fleet,
+    //    every decode iteration advancing all resident requests at once.
     std::vector<TracedRequest> trace(3);
     for (std::size_t i = 0; i < trace.size(); ++i) {
         trace[i].id = i;
@@ -87,7 +88,9 @@ main()
         trace[i].policy = i < 2 ? policy : PruningPolicy::disabled();
         trace[i].seed = i + 1;
     }
-    const ServeReport served = ContinuousBatchScheduler().run(trace);
+    const AcceleratorFleet fleet{std::make_shared<const SpAttenAccelerator>()};
+    const ServeReport served =
+        ContinuousBatchScheduler(fleet, ContinuousBatchConfig{}).run(trace);
     std::printf("\nServed %zu requests: TTFT p50 %.3f ms, ITL p99 %.3f ms, "
                 "%.0f tokens/s, %.1fx DRAM reduction\n",
                 served.requests.size(), served.ttft_p50_s * 1e3,

@@ -35,10 +35,7 @@ double
 DecodeSession::decodePass(std::size_t ctx)
 {
     const double before = graph_.elapsedSeconds();
-    const std::size_t layers = graph_.beginDecodePass(ctx);
-    for (std::size_t l = 0; l < layers; ++l)
-        graph_.stepDecodeLayer();
-    graph_.finishDecodePass();
+    graph_.runPass(1, ctx, true);
     return graph_.elapsedSeconds() - before;
 }
 

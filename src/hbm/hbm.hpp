@@ -24,6 +24,23 @@
 
 namespace spatten {
 
+/**
+ * @p gib GiB in bytes. The whole-GiB part converts by exact integer
+ * shift and the sub-GiB remainder rounds to the nearest byte — a single
+ * double-multiply-and-cast would truncate fractional capacities toward
+ * zero (0.7 GiB would lose its last byte) and has no defined behavior
+ * once the product leaves uint64 range. Supports 0 <= @p gib < 2^34
+ * (16 EiB).
+ */
+inline std::uint64_t
+gibToBytes(double gib)
+{
+    const auto whole = static_cast<std::uint64_t>(gib);
+    const double frac = gib - static_cast<double>(whole);
+    return (whole << 30) + static_cast<std::uint64_t>(
+                               frac * static_cast<double>(1ull << 30) + 0.5);
+}
+
 /** Static configuration of the HBM stack. */
 struct HbmConfig
 {
@@ -48,23 +65,8 @@ struct HbmConfig
     /// The serving layer's KV pool derives its byte budget from this.
     double capacity_gb = 8.0;
 
-    /**
-     * Total stack capacity in bytes. The whole-GiB part converts by
-     * exact integer shift and the sub-GiB remainder rounds to the
-     * nearest byte — the previous single double-multiply-and-cast
-     * truncated fractional capacities toward zero (0.7 GiB lost its
-     * last byte) and had no defined behavior once the product left
-     * uint64 range. Supports capacities below 2^34 whole GiB (16 EiB).
-     */
-    std::uint64_t capacityBytes() const
-    {
-        const auto whole_gb = static_cast<std::uint64_t>(capacity_gb);
-        const double frac_gb =
-            capacity_gb - static_cast<double>(whole_gb);
-        return (whole_gb << 30) +
-               static_cast<std::uint64_t>(
-                   frac_gb * static_cast<double>(1ull << 30) + 0.5);
-    }
+    /** Total stack capacity in bytes (gibToBytes(capacity_gb)). */
+    std::uint64_t capacityBytes() const { return gibToBytes(capacity_gb); }
 
     // Energy constants (pJ), after O'Connor et al. fine-grained DRAM.
     double act_energy_pj = 909.0;    ///< Per row activation.
@@ -110,17 +112,8 @@ struct FarMemoryConfig
      *  negative energy deep inside a run. */
     void validate() const;
 
-    /** Cold-tier capacity in bytes; same exact-shift + rounded-fraction
-     *  conversion as HbmConfig::capacityBytes(). */
-    std::uint64_t capacityBytes() const
-    {
-        const auto whole_gb = static_cast<std::uint64_t>(capacity_gb);
-        const double frac_gb =
-            capacity_gb - static_cast<double>(whole_gb);
-        return (whole_gb << 30) +
-               static_cast<std::uint64_t>(
-                   frac_gb * static_cast<double>(1ull << 30) + 0.5);
-    }
+    /** Cold-tier capacity in bytes (gibToBytes(capacity_gb)). */
+    std::uint64_t capacityBytes() const { return gibToBytes(capacity_gb); }
 
     /** Seconds one migration burst of @p bytes occupies the link:
      *  latency + bytes / bandwidth. 0 bytes cost nothing (no burst). */

@@ -24,19 +24,20 @@
  * carry the cascade-pruned KV survivor count across steps, or one of
  * the baseline adapters (A3, MNNFast, CPU/GPU platforms;
  * baselines/baseline_backends.hpp) whose dense KV grows one token per
- * step. The legacy (SpAttenConfig, ContinuousBatchConfig) constructor
- * builds an all-SpAtten fleet and is bit-identical to the
- * pre-abstraction scheduler at every thread count.
+ * step.
  *
  * Scheduling is KV-capacity-aware: every accelerator owns a KvPool
  * (serve/kv_pool.hpp) whose byte budget derives from the HBM capacity
  * (or an explicit override). A request is only admitted when its prompt
- * KV fits the pool; after every pass its reservation is resized to the
+ * KV fits the pool, and admission is head-of-line: the best queued
+ * request that does not fit blocks the queue until blocks free up.
+ * After every pass a resident's reservation is resized to the
  * cascade-pruned survivor count, so pruning directly raises admissible
  * concurrency. When a decoding request cannot grow its cache, the
  * lowest-priority (then most-recently-admitted) resident request is
  * preempted vLLM-recompute-style: blocks released, emitted tokens
- * discarded, request re-queued. Queue order is a policy: FIFO,
+ * discarded, request re-queued where the shard policy placed it (so a
+ * re-admission obeys the policy too). Queue order is a policy: FIFO,
  * priority (descending), or shortest-prompt-first.
  *
  * Every iteration advances its prefilled residents through ONE call
@@ -68,7 +69,6 @@
 #include <memory>
 #include <vector>
 
-#include "accel/pipeline.hpp"
 #include "hbm/hbm.hpp"
 #include "serve/accelerator_backend.hpp"
 #include "serve/kv_pool.hpp"
@@ -112,7 +112,6 @@ enum class QueuePolicy
 /** Scheduler configuration. */
 struct ContinuousBatchConfig
 {
-    std::size_t num_accelerators = 1;
     /// Max concurrent sessions per accelerator iteration (the continuous
     /// batch width).
     std::size_t max_active = 8;
@@ -163,10 +162,11 @@ struct ContinuousBatchConfig
     /// priced at far_memory.bit_energy_pj per bit and lands in
     /// ServeReport::migration_energy_j / total_energy_j. The default
     /// (capacity_gb == 0) disables tiering; every scheduler result is
-    /// then bit-identical to the single-tier pool. With tiering on, the
-    /// constructor runs FarMemoryConfig::validate(), which rejects a
-    /// link with bandwidth_gbs <= 0, a negative latency_us, or a
-    /// negative bit_energy_pj.
+    /// then bit-identical to the single-tier pool. The constructor
+    /// rejects a negative or NaN capacity_gb, and with tiering on runs
+    /// FarMemoryConfig::validate(), which rejects a link with
+    /// bandwidth_gbs <= 0, a negative latency_us, or a negative
+    /// bit_energy_pj.
     FarMemoryConfig far_memory;
 
     /// CapabilityAware only: prompts at least this long are routed to
@@ -193,17 +193,6 @@ struct ContinuousBatchConfig
     /// prefills, and at most one *partial* chunk is issued per
     /// iteration. 0 = unlimited.
     std::size_t iteration_token_budget = 0;
-
-    /// Admission skip-ahead bound for the non-FIFO queue policies: when
-    /// the best eligible candidate's prompt KV does not fit the pool,
-    /// try up to this many next-best eligible candidates before
-    /// declaring admission blocked for the iteration — a huge
-    /// high-priority head no longer starves small requests that would
-    /// fit beside the residents. 0 = strict head-of-line blocking (the
-    /// legacy behavior). FIFO never skips regardless of this knob:
-    /// strict arrival-order admission is its contract (pinned by
-    /// tests/test_chunked_prefill.cpp).
-    std::size_t admission_skip_ahead = 0;
 };
 
 /** Aggregated outcome of serving one trace. */
@@ -359,18 +348,9 @@ class ContinuousBatchScheduler
 {
   public:
     /**
-     * The homogeneous-SpAtten pool: sched.num_accelerators slots, all
-     * running @p cfg. Bit-identical to the pre-backend-abstraction
-     * scheduler (pinned by the PR 3 goldens).
-     */
-    explicit ContinuousBatchScheduler(
-        SpAttenConfig cfg = SpAttenConfig{},
-        ContinuousBatchConfig sched = ContinuousBatchConfig{});
-
-    /**
-     * A heterogeneous pool: one slot per @p fleet entry (overriding
-     * sched.num_accelerators). Backends may be shared between slots —
-     * sessions carry all per-request state.
+     * A pool of one slot per @p fleet entry; the slots may mix backend
+     * types. Backends may be shared between slots — sessions carry all
+     * per-request state.
      */
     ContinuousBatchScheduler(AcceleratorFleet fleet,
                              ContinuousBatchConfig sched);
@@ -383,9 +363,6 @@ class ContinuousBatchScheduler
      * shard policy.
      */
     ServeReport run(const std::vector<TracedRequest>& trace);
-
-    const ContinuousBatchConfig& schedulerConfig() const { return sched_; }
-    const AcceleratorFleet& fleet() const { return fleet_; }
 
   private:
     AcceleratorFleet fleet_;

@@ -3,11 +3,12 @@
 /// the baseline adapters (A3, MNNFast, platforms), the session protocol
 /// every backend's sessions share (prefill entry points, the prefix
 /// cap, misuse deaths), concurrent stat interning from sessions on
-/// many threads, equivalence of the legacy all-SpAtten constructor and
-/// an explicit homogeneous fleet,
-/// heterogeneous SpAtten+A3 fleets end-to-end (completion, thread-count
-/// bit-identity, KV pressure with per-type budgets), capability-aware
-/// placement, and the tie-break regression: permuting equal-load fleet
+/// many threads, equivalence of one backend shared by every slot and
+/// one backend per slot, heterogeneous SpAtten+A3 fleets end-to-end
+/// (completion, thread-count bit-identity, KV pressure with per-type
+/// budgets), capability-aware placement, the shard policy holding for
+/// every admission under preemption (re-admissions included), and the
+/// tie-break regression: permuting equal-load fleet
 /// slots (distinct but identical backend instances) never changes
 /// placement, because every selection point breaks ties by slot index,
 /// never by instance identity.
@@ -469,27 +470,32 @@ TEST_P(SessionProtocolTest, MisuseDies)
 }
 
 // ---------------------------------------------------------------------
-// Homogeneous fleet == legacy constructor
+// One backend shared by every slot == one backend per slot
 // ---------------------------------------------------------------------
 
-TEST(HeterogeneousFleet, ExplicitSpattenFleetMatchesLegacyConstructor)
+TEST(HeterogeneousFleet, SharedBackendMatchesPerSlotBackends)
 {
+    // Sessions carry all per-request state, so slots may share one
+    // backend instance: the schedule must equal that of a fleet whose
+    // slots each own a separately constructed, identical backend.
     const auto trace = generatePoissonTrace(tinyTraceConfig(16));
     ContinuousBatchConfig sc;
-    sc.num_accelerators = 3;
     sc.max_active = 4;
-    const ServeReport legacy =
-        ContinuousBatchScheduler(SpAttenConfig{}, sc).run(trace);
-
-    const AcceleratorFleet fleet(
+    const AcceleratorFleet shared(
         3, std::make_shared<const SpAttenAccelerator>());
-    const ServeReport explicit_fleet =
+    const ServeReport one_backend =
+        ContinuousBatchScheduler(shared, sc).run(trace);
+
+    AcceleratorFleet fleet;
+    for (std::size_t a = 0; a < 3; ++a)
+        fleet.push_back(std::make_shared<const SpAttenAccelerator>());
+    const ServeReport per_slot =
         ContinuousBatchScheduler(fleet, sc).run(trace);
 
-    ASSERT_EQ(explicit_fleet.requests.size(), legacy.requests.size());
-    for (std::size_t i = 0; i < legacy.requests.size(); ++i) {
-        const ServedRequest& a = legacy.requests[i];
-        const ServedRequest& b = explicit_fleet.requests[i];
+    ASSERT_EQ(per_slot.requests.size(), one_backend.requests.size());
+    for (std::size_t i = 0; i < one_backend.requests.size(); ++i) {
+        const ServedRequest& a = one_backend.requests[i];
+        const ServedRequest& b = per_slot.requests[i];
         EXPECT_EQ(a.accel, b.accel);
         EXPECT_EQ(a.admit_s, b.admit_s);
         EXPECT_EQ(a.finish_s, b.finish_s);
@@ -497,9 +503,9 @@ TEST(HeterogeneousFleet, ExplicitSpattenFleetMatchesLegacyConstructor)
         EXPECT_EQ(a.sim.cycles, b.sim.cycles);
         EXPECT_EQ(a.kv_trace, b.kv_trace);
     }
-    EXPECT_EQ(legacy.makespan_s, explicit_fleet.makespan_s);
-    EXPECT_EQ(legacy.total_cycles, explicit_fleet.total_cycles);
-    EXPECT_EQ(explicit_fleet.accel_names,
+    EXPECT_EQ(one_backend.makespan_s, per_slot.makespan_s);
+    EXPECT_EQ(one_backend.total_cycles, per_slot.total_cycles);
+    EXPECT_EQ(per_slot.accel_names,
               (std::vector<std::string>{"spatten", "spatten", "spatten"}));
 }
 
@@ -700,6 +706,156 @@ TEST(HeterogeneousFleet, CapabilityAwareDegradesToLeastLoadedWithoutPruners)
         EXPECT_EQ(cap.requests[i].accel, ll.requests[i].accel);
         EXPECT_EQ(cap.requests[i].finish_s, ll.requests[i].finish_s);
     }
+}
+
+// ---------------------------------------------------------------------
+// Routing under preemption: re-admissions obey the shard policy too
+// ---------------------------------------------------------------------
+
+/// One admission as a fleet slot saw it: the slot and the request seed.
+struct Admission
+{
+    std::size_t slot = 0;
+    std::uint64_t seed = 0;
+};
+
+/// Forwards every call to @p inner and logs each makeSession() (one per
+/// admission, re-admissions after a preemption included). Admission is
+/// the coordinator's job, so the log is only written from one thread.
+class RecordingBackend : public AcceleratorBackend
+{
+  public:
+    RecordingBackend(std::shared_ptr<const AcceleratorBackend> inner,
+                     std::size_t slot, std::vector<Admission>& log)
+        : inner_(std::move(inner)), slot_(slot), log_(log)
+    {
+    }
+    std::string backendName() const override
+    {
+        return inner_->backendName();
+    }
+    BackendCapabilities capabilities() const override
+    {
+        return inner_->capabilities();
+    }
+    std::uint64_t capacityBytes() const override
+    {
+        return inner_->capacityBytes();
+    }
+    std::size_t kvBytesPerElem() const override
+    {
+        return inner_->kvBytesPerElem();
+    }
+    std::unique_ptr<BackendSession>
+    makeSession(const WorkloadSpec& workload, const PruningPolicy& policy,
+                std::uint64_t request_seed) const override
+    {
+        log_.push_back({slot_, request_seed});
+        return inner_->makeSession(workload, policy, request_seed);
+    }
+    void stepDecodeBatch(const std::vector<BackendSession*>& lanes,
+                         std::vector<double>& seconds_out) const override
+    {
+        inner_->stepDecodeBatch(lanes, seconds_out);
+    }
+
+  private:
+    std::shared_ptr<const AcceleratorBackend> inner_;
+    std::size_t slot_;
+    std::vector<Admission>& log_;
+};
+
+class RoutingUnderPreemptionTest
+    : public ::testing::TestWithParam<ShardPolicy>
+{
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllShards, RoutingUnderPreemptionTest,
+    ::testing::Values(ShardPolicy::RoundRobin, ShardPolicy::LeastLoaded,
+                      ShardPolicy::CapabilityAware),
+    [](const auto& param_info) {
+        switch (param_info.param) {
+        case ShardPolicy::RoundRobin:
+            return std::string("RoundRobin");
+        case ShardPolicy::LeastLoaded:
+            return std::string("LeastLoaded");
+        case ShardPolicy::CapabilityAware:
+            break;
+        }
+        return std::string("CapabilityAware");
+    });
+
+TEST_P(RoutingUnderPreemptionTest, EveryAdmissionLandsOnAnAllowedSlot)
+{
+    // Saturating dense demand with mixed prompt lengths on a KV-capped
+    // SpAtten-1/8 x2 + A3 fleet: requests are preempted and re-admitted,
+    // and each admission — first or repeated — must land on a slot the
+    // shard policy allows for that request.
+    auto tc = tinyTraceConfig(18);
+    tc.mean_interarrival_s = 1e-6;
+    tc.policy = PruningPolicy::disabled();
+    tc.min_prompt = 32;
+    tc.max_prompt = 256;
+    tc.min_output = 16;
+    tc.max_output = 32;
+    const auto trace = generatePoissonTrace(tc);
+    std::vector<std::pair<std::uint64_t, std::size_t>> by_seed;
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        by_seed.emplace_back(trace[i].seed, i);
+    std::sort(by_seed.begin(), by_seed.end());
+    for (std::size_t k = 1; k < by_seed.size(); ++k)
+        ASSERT_NE(by_seed[k].first, by_seed[k - 1].first)
+            << "request seeds must identify requests";
+
+    std::vector<Admission> log;
+    AcceleratorFleet fleet;
+    const auto inner = mixedFleet(); // Slots 0-1 prune, slot 2 (a3) not.
+    for (std::size_t a = 0; a < inner.size(); ++a)
+        fleet.push_back(
+            std::make_shared<const RecordingBackend>(inner[a], a, log));
+    ContinuousBatchConfig sc;
+    sc.max_active = 6;
+    sc.shard = GetParam();
+    sc.long_prompt_threshold = 128;
+    sc.kv_block_tokens = 4;
+    sc.kv_capacity_bytes = kvBudgetForWorstRequest(trace, 1.5, sc, 2);
+    const ServeReport r = ContinuousBatchScheduler(fleet, sc).run(trace);
+
+    ASSERT_GE(r.preemptions, 1u) << "the scenario must have pressure";
+    for (const ServedRequest& req : r.requests)
+        EXPECT_EQ(req.phase, RequestPhase::Finished);
+    ASSERT_EQ(log.size(), trace.size() + r.preemptions)
+        << "one makeSession per admission";
+    bool any_long = false;
+    for (const Admission& adm : log) {
+        const auto it = std::lower_bound(
+            by_seed.begin(), by_seed.end(),
+            std::make_pair(adm.seed, std::size_t{0}));
+        ASSERT_TRUE(it != by_seed.end() && it->first == adm.seed);
+        const std::size_t i = it->second;
+        const bool is_long = trace[i].workload.summarize_len >=
+                             sc.long_prompt_threshold;
+        any_long |= is_long;
+        switch (GetParam()) {
+        case ShardPolicy::RoundRobin:
+            // The trace arrives in id order: canonical position == i.
+            EXPECT_EQ(adm.slot, i % fleet.size())
+                << "request " << i << " left its round-robin slot";
+            break;
+        case ShardPolicy::LeastLoaded:
+            EXPECT_LT(adm.slot, fleet.size());
+            break;
+        case ShardPolicy::CapabilityAware:
+            if (is_long) {
+                EXPECT_LT(adm.slot, 2u)
+                    << "long prompt " << i
+                    << " admitted on the non-pruning slot";
+            }
+            break;
+        }
+    }
+    EXPECT_TRUE(any_long) << "the trace must contain long prompts";
 }
 
 // ---------------------------------------------------------------------

@@ -211,18 +211,22 @@ expectSameReport(const ServeReport& a, const ServeReport& b)
     }
 }
 
+/// Serve @p trace on @p accels default SpAtten slots.
 ServeReport
-serve(const std::vector<TracedRequest>& trace, ContinuousBatchConfig sc)
+serve(const std::vector<TracedRequest>& trace, ContinuousBatchConfig sc,
+      std::size_t accels = 1)
 {
-    return ContinuousBatchScheduler(SpAttenConfig{}, sc).run(trace);
+    const AcceleratorFleet fleet(
+        accels, std::make_shared<const SpAttenAccelerator>());
+    return ContinuousBatchScheduler(fleet, sc).run(trace);
 }
 
 ServeReport
 serveSerial(const std::vector<TracedRequest>& trace,
-            const ContinuousBatchConfig& sc)
+            const ContinuousBatchConfig& sc, std::size_t accels = 1)
 {
     const AcceleratorFleet fleet(
-        sc.num_accelerators, std::make_shared<const ForwardingBackend>());
+        accels, std::make_shared<const ForwardingBackend>());
     return ContinuousBatchScheduler(fleet, sc).run(trace);
 }
 
@@ -231,14 +235,13 @@ TEST(BatchedDecode, SchedulerBatchedMatchesPerJobAcrossThreadsAndShards)
     const auto trace = denseTrace(20);
     for (const std::size_t accels : {std::size_t{1}, std::size_t{2}}) {
         ContinuousBatchConfig sc;
-        sc.num_accelerators = accels;
         sc.max_active = 6;
         sc.num_threads = 1;
-        const ServeReport baseline = serveSerial(trace, sc);
+        const ServeReport baseline = serveSerial(trace, sc, accels);
 
         for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
             sc.num_threads = threads;
-            expectSameReport(baseline, serve(trace, sc));
+            expectSameReport(baseline, serve(trace, sc, accels));
         }
     }
 }

@@ -4,10 +4,9 @@
 /// the scheduler's chunk-size=infinity and chunking-off legacy
 /// equivalence, thread-count and shard-count determinism with chunking
 /// on, composition with shared-prefix caching, mid-prefill preemption
-/// recovery, the iteration token budget's chunk arithmetic, bounded
-/// admission skip-ahead (with FIFO's strict-order guarantee), per-accel
-/// busy accounting coherence on heterogeneous fleets, and the
-/// queue-delay percentiles.
+/// recovery, the iteration token budget's chunk arithmetic,
+/// head-of-line admission blocking, per-accel busy accounting
+/// coherence on heterogeneous fleets, and the queue-delay percentiles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,10 +45,14 @@ tinyTraceConfig(std::size_t n = 16, std::uint64_t seed = 0x5eed)
     return tc;
 }
 
+/// Serve @p trace on @p accels default SpAtten slots.
 ServeReport
-serve(const std::vector<TracedRequest>& trace, ContinuousBatchConfig sc)
+serve(const std::vector<TracedRequest>& trace, ContinuousBatchConfig sc,
+      std::size_t accels = 1)
 {
-    return ContinuousBatchScheduler(SpAttenConfig{}, sc).run(trace);
+    const AcceleratorFleet fleet(
+        accels, std::make_shared<const SpAttenAccelerator>());
+    return ContinuousBatchScheduler(fleet, sc).run(trace);
 }
 
 /// Saturating dense demand under a tight budget: guaranteed admission
@@ -253,8 +256,7 @@ TEST(ChunkedScheduler, ChunkStreamIsPlacementIndependent)
     sc.max_active = 4;
     sc.prefill_chunk_tokens = 32;
     const ServeReport one = serve(trace, sc);
-    sc.num_accelerators = 2;
-    const ServeReport two = serve(trace, sc);
+    const ServeReport two = serve(trace, sc, 2);
     ASSERT_EQ(one.requests.size(), two.requests.size());
     for (std::size_t i = 0; i < one.requests.size(); ++i) {
         expectSameService(one.requests[i], two.requests[i]);
@@ -373,30 +375,17 @@ TEST(ChunkedScheduler, IterationBudgetBoundsChunkSizes)
 }
 
 // ---------------------------------------------------------------------
-// Admission skip-ahead (head-of-line fix) and FIFO's strict order
+// Head-of-line admission
 // ---------------------------------------------------------------------
 
-TEST(AdmissionSkipAhead, FifoNeverSkipsRegardlessOfAllowance)
+TEST(HeadOfLineAdmission, BlockedPriorityHeadHoldsBackFittingRequest)
 {
-    // Strict arrival-order admission is FIFO's fairness contract: the
-    // skip-ahead knob must be inert there, bit for bit, even under
-    // heavy KV pressure where skipping would help.
-    const auto trace = denseSaturatingTrace();
-    ContinuousBatchConfig sc = cappedConfig(trace);
-    const ServeReport strict = serve(trace, sc);
-    ASSERT_GE(strict.preemptions, 1u) << "the scenario must have pressure";
-    sc.admission_skip_ahead = 5;
-    const ServeReport skip = serve(trace, sc);
-    expectSameReport(strict, skip);
-}
-
-TEST(AdmissionSkipAhead, PriorityAdmitsFittingRequestPastBlockedHead)
-{
-    // A huge high-priority head whose prompt KV does not fit beside
-    // the resident must no longer starve a small request that does
-    // fit. Three simultaneous arrivals: A (priority 10, small) is
-    // admitted first; B (priority 5, 256-token prompt) fails its
-    // reservation at a 1.1x-worst budget; C (priority 1, small) fits.
+    // The first candidate whose prompt KV does not fit the pool blocks
+    // admission until residents drain — under every queue policy.
+    // Three simultaneous arrivals: A (priority 10, small) is admitted
+    // first; B (priority 5, 256-token prompt) fails its reservation at
+    // a 1.1x-worst budget; C (priority 1, small) would fit but waits
+    // behind B. Nothing starves: every request finishes.
     std::vector<TracedRequest> trace;
     const std::size_t prompts[] = {64, 256, 48};
     const std::size_t outputs[] = {32, 2, 4};
@@ -420,19 +409,10 @@ TEST(AdmissionSkipAhead, PriorityAdmitsFittingRequestPastBlockedHead)
     sc.kv_capacity_bytes = kvBudgetForWorstRequest(trace, 1.1, sc);
 
     const ServeReport blocked = serve(trace, sc);
-    sc.admission_skip_ahead = 1;
-    const ServeReport skip = serve(trace, sc);
-    for (const ServeReport* r : {&blocked, &skip})
-        for (const ServedRequest& req : r->requests)
-            EXPECT_EQ(req.phase, RequestPhase::Finished);
-    // Head-of-line blocked: C waits behind B until residents drain.
-    EXPECT_GT(blocked.requests[2].admit_s, blocked.requests[1].admit_s);
-    // Skip-ahead: C is admitted beside A while B still waits.
-    EXPECT_LT(skip.requests[2].admit_s, skip.requests[1].admit_s);
-    EXPECT_LT(skip.requests[2].admit_s, blocked.requests[2].admit_s)
-        << "skipping the blocked head must strictly improve C's wait";
-    // The blocked head is not bypassed forever.
-    EXPECT_GE(skip.requests[1].tokens, 1u);
+    for (const ServedRequest& req : blocked.requests)
+        EXPECT_EQ(req.phase, RequestPhase::Finished);
+    EXPECT_GT(blocked.requests[2].admit_s, blocked.requests[1].admit_s)
+        << "C must wait behind the blocked head B";
 }
 
 // ---------------------------------------------------------------------

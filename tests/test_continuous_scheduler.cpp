@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "accel/decode_session.hpp"
 #include "accel/spatten_accelerator.hpp"
@@ -39,10 +40,14 @@ tinyTraceConfig(std::size_t n = 16, std::uint64_t seed = 0x5eed)
     return tc;
 }
 
+/// Serve @p trace on @p accels default SpAtten slots.
 ServeReport
-serve(const std::vector<TracedRequest>& trace, ContinuousBatchConfig sc)
+serve(const std::vector<TracedRequest>& trace, ContinuousBatchConfig sc,
+      std::size_t accels = 1)
 {
-    return ContinuousBatchScheduler(SpAttenConfig{}, sc).run(trace);
+    const AcceleratorFleet fleet(
+        accels, std::make_shared<const SpAttenAccelerator>());
+    return ContinuousBatchScheduler(fleet, sc).run(trace);
 }
 
 /// Per-request *service* state (placement-independent by contract).
@@ -215,13 +220,12 @@ TEST(ContinuousScheduler, BitIdenticalAcrossThreadCounts)
 {
     const auto trace = generatePoissonTrace(tinyTraceConfig(20));
     ContinuousBatchConfig sc;
-    sc.num_accelerators = 2;
     sc.max_active = 4;
     sc.num_threads = 1;
-    const ServeReport ref = serve(trace, sc);
+    const ServeReport ref = serve(trace, sc, 2);
     for (const std::size_t threads : {2u, 4u, 8u}) {
         sc.num_threads = threads;
-        const ServeReport r = serve(trace, sc);
+        const ServeReport r = serve(trace, sc, 2);
         ASSERT_EQ(r.requests.size(), ref.requests.size());
         for (std::size_t i = 0; i < r.requests.size(); ++i) {
             expectSameService(r.requests[i], ref.requests[i]);
@@ -249,9 +253,8 @@ TEST(ContinuousScheduler, ServiceResultsBitIdenticalAcrossShardCounts)
     for (const std::size_t accels : {2u, 4u}) {
         for (const ShardPolicy policy :
              {ShardPolicy::RoundRobin, ShardPolicy::LeastLoaded}) {
-            sc.num_accelerators = accels;
             sc.shard = policy;
-            const ServeReport r = serve(trace, sc);
+            const ServeReport r = serve(trace, sc, accels);
             for (std::size_t i = 0; i < r.requests.size(); ++i)
                 expectSameService(r.requests[i], one.requests[i]);
         }
@@ -262,9 +265,8 @@ TEST(ContinuousScheduler, RepeatedRunsAreIdentical)
 {
     const auto trace = generatePoissonTrace(tinyTraceConfig(12));
     ContinuousBatchConfig sc;
-    sc.num_accelerators = 3;
-    const ServeReport a = serve(trace, sc);
-    const ServeReport b = serve(trace, sc);
+    const ServeReport a = serve(trace, sc, 3);
+    const ServeReport b = serve(trace, sc, 3);
     EXPECT_EQ(a.makespan_s, b.makespan_s);
     EXPECT_EQ(a.total_cycles, b.total_cycles);
     EXPECT_EQ(a.total_energy_j, b.total_energy_j);
@@ -280,9 +282,8 @@ TEST(ContinuousScheduler, RoundRobinPinsRequestsModulo)
 {
     const auto trace = generatePoissonTrace(tinyTraceConfig(16));
     ContinuousBatchConfig sc;
-    sc.num_accelerators = 4;
     sc.shard = ShardPolicy::RoundRobin;
-    const ServeReport r = serve(trace, sc);
+    const ServeReport r = serve(trace, sc, 4);
     // The trace arrives in id order, so arrival position == id.
     for (std::size_t i = 0; i < r.requests.size(); ++i)
         EXPECT_EQ(r.requests[i].accel, static_cast<int>(i % 4));
@@ -292,10 +293,9 @@ TEST(ContinuousScheduler, LeastLoadedAdmitsInFifoArrivalOrder)
 {
     const auto trace = generatePoissonTrace(tinyTraceConfig(24));
     ContinuousBatchConfig sc;
-    sc.num_accelerators = 3;
     sc.max_active = 2;
     sc.shard = ShardPolicy::LeastLoaded;
-    const ServeReport r = serve(trace, sc);
+    const ServeReport r = serve(trace, sc, 3);
     for (std::size_t i = 1; i < r.requests.size(); ++i)
         EXPECT_GE(r.requests[i].admit_s, r.requests[i - 1].admit_s)
             << "equal-priority FIFO: admission must follow arrival order";
@@ -309,10 +309,9 @@ TEST(ContinuousScheduler, NoRequestStarvedBeyondBoundedQueueDelay)
     tc.mean_interarrival_s = 1e-6;
     const auto trace = generatePoissonTrace(tc);
     ContinuousBatchConfig sc;
-    sc.num_accelerators = 1;
     sc.max_active = 2;
     sc.shard = ShardPolicy::LeastLoaded;
-    const ServeReport r = serve(trace, sc);
+    const ServeReport r = serve(trace, sc, 1);
     for (std::size_t i = 0; i < r.requests.size(); ++i) {
         const ServedRequest& req = r.requests[i];
         ASSERT_EQ(req.phase, RequestPhase::Finished);
@@ -334,9 +333,8 @@ TEST(ContinuousScheduler, MaxActiveBoundsConcurrency)
     tc.mean_interarrival_s = 1e-6; // everyone arrives ~at once
     const auto trace = generatePoissonTrace(tc);
     ContinuousBatchConfig sc;
-    sc.num_accelerators = 2;
     sc.max_active = 3;
-    const ServeReport r = serve(trace, sc);
+    const ServeReport r = serve(trace, sc, 2);
     for (const ServedRequest& req : r.requests) {
         // Requests concurrently resident with req on its accelerator:
         // admitted no later, not yet finished at req's admission.
@@ -358,8 +356,7 @@ TEST(ContinuousScheduler, TimestampsRespectLifecycleOrder)
 {
     const auto trace = generatePoissonTrace(tinyTraceConfig(16));
     ContinuousBatchConfig sc;
-    sc.num_accelerators = 2;
-    const ServeReport r = serve(trace, sc);
+    const ServeReport r = serve(trace, sc, 2);
     for (const ServedRequest& req : r.requests) {
         EXPECT_GE(req.admit_s, req.arrival_s);
         EXPECT_GT(req.first_token_s, req.admit_s);
@@ -408,8 +405,7 @@ TEST(ContinuousScheduler, MetricsAreCoherent)
 {
     const auto trace = generatePoissonTrace(tinyTraceConfig(20));
     ContinuousBatchConfig sc;
-    sc.num_accelerators = 2;
-    const ServeReport r = serve(trace, sc);
+    const ServeReport r = serve(trace, sc, 2);
     EXPECT_LE(r.ttft_p50_s, r.ttft_p99_s);
     EXPECT_LE(r.itl_p50_s, r.itl_p99_s);
     EXPECT_GT(r.throughput_rps, 0.0);
@@ -476,9 +472,8 @@ TEST(ContinuousScheduler, UtilizationWindowIsPerAccelUnderRoundRobin)
         trace.push_back(req);
     }
     ContinuousBatchConfig sc;
-    sc.num_accelerators = 2;
     sc.shard = ShardPolicy::RoundRobin;
-    const ServeReport r = serve(trace, sc);
+    const ServeReport r = serve(trace, sc, 2);
     ASSERT_EQ(r.requests[1].accel, 1);
     EXPECT_GT(r.accel_util[1], 0.99)
         << "accel 1's idle wait for its first pinned arrival is demand "
@@ -757,9 +752,8 @@ TEST(ContinuousScheduler, PreemptedRequestsRespectCausalityAcrossAccels)
     const auto trace = denseSaturatingTrace();
     for (const std::size_t accels : {2u, 3u}) {
         ContinuousBatchConfig sc = cappedConfig(trace);
-        sc.num_accelerators = accels;
         sc.shard = ShardPolicy::LeastLoaded;
-        const ServeReport r = serve(trace, sc);
+        const ServeReport r = serve(trace, sc, accels);
         ASSERT_GE(r.preemptions, 1u) << "the scenario must have pressure";
         for (const ServedRequest& req : r.requests) {
             EXPECT_LE(req.service_seconds,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 
 #include "accel/pipeline.hpp"
 #include "accel/qk_module.hpp"
@@ -101,13 +102,20 @@ TEST(FailureInjection, LossBadLabel)
 TEST(FailureInjection, SchedulerBadFarMemoryLink)
 {
     // A tiering config whose link would price promotions as inf/NaN
-    // seconds (or negative energy) is rejected at construction.
+    // seconds (or negative energy) is rejected at construction, and so
+    // is a negative or NaN capacity, which enabled() reads as "off" but
+    // which would still be converted to bytes.
     const auto build = [](FarMemoryConfig fm) {
         ContinuousBatchConfig sc;
         sc.far_memory = fm;
-        ContinuousBatchScheduler sched(SpAttenConfig{}, sc);
+        ContinuousBatchScheduler sched(
+            {std::make_shared<const SpAttenAccelerator>()}, sc);
     };
     FarMemoryConfig fm;
+    fm.capacity_gb = -1.0;
+    EXPECT_DEATH(build(fm), "capacity_gb");
+    fm.capacity_gb = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(build(fm), "capacity_gb");
     fm.capacity_gb = 1.0;
     fm.bandwidth_gbs = 0.0;
     EXPECT_DEATH(build(fm), "bandwidth_gbs");

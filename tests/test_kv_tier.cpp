@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "accel/spatten_accelerator.hpp"
@@ -185,7 +186,8 @@ ServeReport
 serve(const std::vector<TracedRequest>& trace,
       const ContinuousBatchConfig& sc)
 {
-    return ContinuousBatchScheduler(SpAttenConfig{}, sc).run(trace);
+    const AcceleratorFleet fleet{std::make_shared<const SpAttenAccelerator>()};
+    return ContinuousBatchScheduler(fleet, sc).run(trace);
 }
 
 /// Full-report bit-identity (the chunked-prefill suite's contract plus
