@@ -685,8 +685,14 @@ class RunState
             rep_.peak_concurrency = static_cast<std::size_t>(peak);
         }
 
+        // The pooled ITL array is sized exactly from the token trails
+        // and filled in place: no per-request gap copies, no growth.
+        std::size_t gaps = 0;
+        for (const ServedRequest& r : rep_.requests)
+            gaps += std::max<std::size_t>(r.token_times_s.size(), 1) - 1;
         std::vector<double> ttfts, itls, qdelays;
         ttfts.reserve(n);
+        itls.reserve(gaps);
         qdelays.reserve(n);
         rep_.total_cycles = wasted_cycles_;
         rep_.total_energy_j = wasted_energy_j_;
@@ -697,8 +703,8 @@ class RunState
             rep_.total_tokens += r.tokens;
             ttfts.push_back(r.ttftSeconds());
             qdelays.push_back(r.queueDelaySeconds());
-            for (double g : r.interTokenGaps())
-                itls.push_back(g);
+            for (std::size_t i = 1; i < r.token_times_s.size(); ++i)
+                itls.push_back(r.token_times_s[i] - r.token_times_s[i - 1]);
             rep_.total_cycles += static_cast<double>(r.sim.cycles);
             rep_.total_energy_j += r.sim.energy.totalJ();
             rep_.total_flops += r.sim.attention_flops;
@@ -879,6 +885,8 @@ class RunState
         r.admit_s = accel.clock_s;
         r.cached_prefix_tokens = cached_prefix;
         r.phase = RequestPhase::Prefill;
+        // Exact trail capacity; a preemption's clear() keeps it.
+        r.token_times_s.reserve(w.generate_len);
         accel.active.push_back(
             {idx, admit_seq_++, cached_prefix,
              /*prefill_pos=*/cached_prefix, promote_s,

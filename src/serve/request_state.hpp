@@ -111,13 +111,13 @@ struct ServedRequest
      *  auto-pass the ITL half of the SLO. */
     double avgItlSeconds() const
     {
-        const auto gaps = interTokenGaps();
-        if (gaps.empty())
+        const std::size_t n = token_times_s.size();
+        if (n < 2)
             return 0.0;
         double s = 0.0;
-        for (double g : gaps)
-            s += g;
-        return s / static_cast<double>(gaps.size());
+        for (std::size_t i = 1; i < n; ++i)
+            s += token_times_s[i] - token_times_s[i - 1];
+        return s / static_cast<double>(n - 1);
     }
 };
 

@@ -5,69 +5,171 @@
 #include <functional>
 #include <mutex>
 #include <set>
+#include <unordered_map>
 
 #include "common/logging.hpp"
+#include "common/prng.hpp"
 
 namespace spatten {
 
 namespace {
 
-/** The process-wide intern table: append-only, node-stable. */
+/** Layout keys compare by (name pointer, kind): a content identity. */
+struct LayoutLess
+{
+    bool operator()(const StatSet::Layout& a, const StatSet::Layout& b) const
+    {
+        return std::lexicographical_compare(
+            a.begin(), a.end(), b.begin(), b.end(),
+            [](const StatSet::Key& x, const StatSet::Key& y) {
+                return std::less<const std::string*>()(x.name, y.name) ||
+                       (x.name == y.name && x.gauge < y.gauge);
+            });
+    }
+};
+
+/** One layout step: from a layout, write a name with a kind. */
+struct Step
+{
+    const StatSet::Layout* from;
+    const std::string* name;
+    bool gauge;
+    bool operator==(const Step& o) const
+    {
+        return from == o.from && name == o.name && gauge == o.gauge;
+    }
+};
+
+struct StepHash
+{
+    std::size_t operator()(const Step& s) const
+    {
+        const std::hash<const void*> ptr;
+        return mix64(ptr(s.from) ^ mix64(ptr(s.name) ^ (s.gauge ? 1u : 0u)));
+    }
+};
+
+/** Where a step lands: the successor layout and the name's index. */
+struct Successor
+{
+    const StatSet::Layout* layout;
+    std::size_t index;
+};
+
+/**
+ * The process-wide registry: interned names, interned layouts and the
+ * transition table between them. Append-only and node-stable; every
+ * member is guarded by mu.
+ */
+struct Registry
+{
+    std::mutex mu;
+    std::set<std::string, std::less<>> names;
+    std::set<StatSet::Layout, LayoutLess> layouts;
+    std::unordered_map<Step, Successor, StepHash> steps;
+    std::size_t layout_keys = 0;
+
+    static Registry& get()
+    {
+        static Registry r;
+        return r;
+    }
+};
+
+/** Index of the first key whose name is not less than @p name. */
+std::size_t
+lowerBound(const StatSet::Key* keys, std::size_t n, std::string_view name)
+{
+    const StatSet::Key* it = std::lower_bound(
+        keys, keys + n, name,
+        [](const StatSet::Key& k, std::string_view v) { return *k.name < v; });
+    return static_cast<std::size_t>(it - keys);
+}
+
+/** The process-wide intern table entry for @p name. */
 const std::string*
 intern(std::string_view name)
 {
-    static std::mutex mu;
-    static std::set<std::string, std::less<>> table;
-    const std::lock_guard<std::mutex> lock(mu);
-    auto it = table.find(name);
-    if (it == table.end())
-        it = table.emplace(name).first;
+    Registry& reg = Registry::get();
+    const std::lock_guard<std::mutex> lock(reg.mu);
+    auto it = reg.names.find(name);
+    if (it == reg.names.end())
+        it = reg.names.emplace(name).first;
     return &*it;
+}
+
+/** The layout reached from @p from by writing @p name as @p gauge. */
+Successor
+successor(const StatSet::Layout* from, const std::string* name, bool gauge)
+{
+    Registry& reg = Registry::get();
+    const std::lock_guard<std::mutex> lock(reg.mu);
+    const Step step{from, name, gauge};
+    if (const auto it = reg.steps.find(step); it != reg.steps.end())
+        return it->second;
+
+    StatSet::Layout keys = *from;
+    const std::size_t i = lowerBound(keys.data(), keys.size(), *name);
+    if (i < keys.size() && keys[i].name == name)
+        keys[i].gauge = gauge;
+    else
+        keys.insert(keys.begin() + static_cast<std::ptrdiff_t>(i),
+                    {name, gauge});
+    auto layout = reg.layouts.find(keys);
+    if (layout == reg.layouts.end()) {
+        SPATTEN_ASSERT(reg.layout_keys + keys.size() <=
+                           StatSet::kLayoutKeyBudget,
+                       "stat layouts would hold %zu keys, over the budget "
+                       "of %zu: is a stat name built from unbounded data?",
+                       reg.layout_keys + keys.size(),
+                       StatSet::kLayoutKeyBudget);
+        reg.layout_keys += keys.size();
+        layout = reg.layouts.insert(std::move(keys)).first;
+    }
+    const Successor next{&*layout, i};
+    reg.steps.emplace(step, next);
+    return next;
 }
 
 } // namespace
 
 StatName::StatName(std::string_view name) : name_(intern(name)) {}
 
+const StatSet::Layout StatSet::kEmptyLayout;
+
 std::size_t
-StatSet::lowerBound(std::string_view name) const
+StatSet::indexOf(std::string_view name) const
 {
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), name,
-        [](const Entry& e, std::string_view n) { return *e.name < n; });
-    return static_cast<std::size_t>(it - entries_.begin());
+    const std::size_t n = values_.size();
+    const std::size_t i = lowerBound(layout_->data(), n, name);
+    return i < n && *(*layout_)[i].name == name ? i : npos;
 }
 
-StatSet::Entry&
-StatSet::slot(const std::string* name)
+double&
+StatSet::slot(const std::string* name, bool gauge, std::size_t at)
 {
-    // Writers mostly arrive in name order: try the append slot first.
-    if (entries_.empty() || *entries_.back().name < *name) {
-        entries_.push_back({name, 0.0, false});
-        return entries_.back();
-    }
-    const std::size_t i = lowerBound(*name);
-    if (i < entries_.size() && entries_[i].name == name)
-        return entries_[i];
-    return *entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(i),
-                            {name, 0.0, false});
+    if (at != npos && (*layout_)[at].gauge == gauge)
+        return values_[at];
+    const Successor next = successor(layout_, name, gauge);
+    layout_ = next.layout;
+    if (at == npos)
+        values_.insert(values_.begin() +
+                           static_cast<std::ptrdiff_t>(next.index),
+                       0.0);
+    return values_[next.index];
 }
 
-StatSet::Entry&
-StatSet::slot(const std::string& name)
+double&
+StatSet::slot(StatName name, bool gauge)
 {
-    const std::size_t i = lowerBound(name);
-    if (i < entries_.size() && *entries_[i].name == name)
-        return entries_[i];
-    return slot(intern(name));
+    return slot(name.name_, gauge, indexOf(*name.name_));
 }
 
-const StatSet::Entry*
-StatSet::find(const std::string& name) const
+double&
+StatSet::slot(const std::string& name, bool gauge)
 {
-    const std::size_t i = lowerBound(name);
-    return i < entries_.size() && *entries_[i].name == name ? &entries_[i]
-                                                           : nullptr;
+    const std::size_t at = indexOf(name);
+    return slot(at == npos ? intern(name) : (*layout_)[at].name, gauge, at);
 }
 
 // Accumulating into an entry makes it a counter, whatever it was: the
@@ -75,67 +177,59 @@ StatSet::find(const std::string& name) const
 void
 StatSet::add(const std::string& name, double delta)
 {
-    Entry& e = slot(name);
-    e.value += delta;
-    e.gauge = false;
+    slot(name, false) += delta;
 }
 
 void
 StatSet::add(StatName name, double delta)
 {
-    Entry& e = slot(name.name_);
-    e.value += delta;
-    e.gauge = false;
+    slot(name, false) += delta;
 }
 
 void
 StatSet::set(const std::string& name, double value)
 {
-    Entry& e = slot(name);
-    e.value = value;
-    e.gauge = true;
+    slot(name, true) = value;
 }
 
 void
 StatSet::set(StatName name, double value)
 {
-    Entry& e = slot(name.name_);
-    e.value = value;
-    e.gauge = true;
+    slot(name, true) = value;
 }
 
 double
 StatSet::get(const std::string& name) const
 {
-    const Entry* e = find(name);
-    return e == nullptr ? 0.0 : e->value;
+    const std::size_t i = indexOf(name);
+    return i == npos ? 0.0 : values_[i];
 }
 
 bool
 StatSet::has(const std::string& name) const
 {
-    return find(name) != nullptr;
+    return indexOf(name) != npos;
 }
 
 bool
 StatSet::isGauge(const std::string& name) const
 {
-    const Entry* e = find(name);
-    return e != nullptr && e->gauge;
+    const std::size_t i = indexOf(name);
+    return i != npos && (*layout_)[i].gauge;
 }
 
 void
 StatSet::merge(const StatSet& other)
 {
-    // Self-merge is safe: every name is already present, so slot()
-    // never inserts and the loop's references stay valid.
-    for (const Entry& o : other.entries_) {
-        Entry& e = slot(o.name);
-        if (o.gauge)
-            e.value = o.value;
+    // Self-merge is safe: every key is already present with its kind,
+    // so slot() never moves the layout or the values.
+    const Layout& ok = *other.layout_;
+    for (std::size_t j = 0; j < other.values_.size(); ++j) {
+        double& v = slot(ok[j].name, ok[j].gauge, indexOf(*ok[j].name));
+        if (ok[j].gauge)
+            v = other.values_[j];
         else
-            e.value += o.value; // Also reclassifies a stale gauge mark.
-        e.gauge = o.gauge;
+            v += other.values_[j]; // Also reclassifies a stale gauge mark.
     }
 }
 
@@ -143,8 +237,8 @@ std::string
 StatSet::toString() const
 {
     std::string out;
-    for (const Entry& e : entries_)
-        out += strfmt("%-40s = %.6g\n", e.name->c_str(), e.value);
+    for (const auto& [name, value] : all())
+        out += strfmt("%-40s = %.6g\n", name.c_str(), value);
     return out;
 }
 

@@ -4,23 +4,34 @@
  * counters (DRAM reads, row activations, top-k iterations, ...) to the
  * benchmark harness in a uniform way.
  *
- * Storage. A StatSet is one flat std::vector of {name, value, gauge}
- * entries kept sorted by name — a finalized SpAtten request carries its
- * ~37 stats in a single allocation instead of a tree node per name.
+ * Storage. A StatSet is a layout pointer plus one std::vector of
+ * doubles. The layout is an interned, immutable key list — {interned
+ * name, gauge} pairs sorted by name — and the values sit in the same
+ * order. Sets that hold the same keys share one layout, so a
+ * finalized SpAtten request keeps only its ~37 doubles (296 B) in a
+ * single allocation; the names and kinds are stored once per process.
  *
- * Interning. Entry names point into a process-wide, append-only intern
- * table (a node-stable std::set behind a mutex). Equal names always
- * share one pointer, and an interned string never moves, changes or
- * dies. StatName interns once up front, so hot writers (HbmModel,
- * StageGraph, AttentionGraph::finalize) never rebuild or look up a name
- * string.
+ * Interning. Names, layouts and layout transitions live in one
+ * process-wide, append-only registry behind a mutex. Equal names
+ * always share one pointer; an interned name or layout never moves,
+ * changes or dies. Adding a key, or changing a key's kind (add() on a
+ * gauge, set() on a counter), moves the set to the cached successor
+ * layout of that step, so every set built along the same path — every
+ * finalized result — lands on the same layout. Layouts are deduplicated
+ * by content; the registry's total key count is capped at
+ * kLayoutKeyBudget, so an unbounded name vocabulary (which would grow
+ * O(n^2) layout keys) fails loudly instead of eating memory. StatName
+ * interns once up front, so hot writers (HbmModel, StageGraph,
+ * AttentionGraph::finalize) never rebuild a name string.
  *
  * Thread safety. Interning a name — constructing a StatName, or add() /
- * set() of a name this set does not hold yet — takes the table's lock.
- * Everything else (get/has/isGauge, ordered insertion, merge, copying,
- * all()) reads the immutable interned strings without locking. Distinct
- * StatSets may therefore be built on any number of threads at once; one
- * StatSet is not itself synchronized, like any standard container.
+ * set() of a string name the set does not hold yet — and every layout
+ * step (a new key or a kind change) take the registry's lock. Value
+ * writes to existing keys, get/has/isGauge, copying, all() and merging
+ * two sets of one layout read only immutable interned data without
+ * locking. Distinct StatSets may therefore be built on any number of
+ * threads at once; one StatSet is not itself synchronized, like any
+ * standard container.
  *
  * Name order. all() and toString() walk entries in ascending
  * std::string order of their names — the same order the former
@@ -55,7 +66,7 @@ class StatName
 };
 
 /**
- * A flat name -> double statistics map with formatting helpers.
+ * A name -> double statistics map with formatting helpers.
  *
  * Entries carry counter-or-gauge semantics: add() creates counters
  * (accumulating deltas, summed by merge()); set() creates gauges
@@ -65,15 +76,20 @@ class StatName
  */
 class StatSet
 {
-    struct Entry
-    {
-        const std::string* name = nullptr; ///< Interned: equal names,
-                                           ///< equal pointers.
-        double value = 0;
-        bool gauge = false; ///< Last written via set().
-    };
-
   public:
+    /** One key of a layout: an interned name and its kind. */
+    struct Key
+    {
+        const std::string* name; ///< Interned: equal names, equal
+                                 ///< pointers.
+        bool gauge;              ///< Last written via set().
+    };
+    /** An interned, immutable key list, sorted by *name. */
+    using Layout = std::vector<Key>;
+
+    /** Budget on the keys of all interned layouts together. */
+    static constexpr std::size_t kLayoutKeyBudget = std::size_t{1} << 20;
+
     /** Read-only iterator yielding (name, value) pairs in name order. */
     class Iterator
     {
@@ -91,22 +107,25 @@ class StatSet
         };
         using pointer = Arrow;
 
-        explicit Iterator(std::vector<Entry>::const_iterator it) : it_(it)
+        Iterator(const Key* key, const double* value)
+            : key_(key), value_(value)
         {
         }
 
-        value_type operator*() const { return {*it_->name, it_->value}; }
+        value_type operator*() const { return {*key_->name, *value_}; }
         Arrow operator->() const { return {**this}; }
         Iterator& operator++()
         {
-            ++it_;
+            ++key_;
+            ++value_;
             return *this;
         }
-        bool operator==(const Iterator& o) const { return it_ == o.it_; }
-        bool operator!=(const Iterator& o) const { return it_ != o.it_; }
+        bool operator==(const Iterator& o) const { return key_ == o.key_; }
+        bool operator!=(const Iterator& o) const { return key_ != o.key_; }
 
       private:
-        std::vector<Entry>::const_iterator it_;
+        const Key* key_;
+        const double* value_;
     };
 
     /** Non-owning view over the entries; valid while the set is
@@ -114,16 +133,18 @@ class StatSet
     class View
     {
       public:
-        explicit View(const std::vector<Entry>& entries)
-            : entries_(&entries)
+        View(const Key* keys, const double* values, std::size_t n)
+            : keys_(keys), values_(values), n_(n)
         {
         }
-        std::size_t size() const { return entries_->size(); }
-        Iterator begin() const { return Iterator(entries_->begin()); }
-        Iterator end() const { return Iterator(entries_->end()); }
+        std::size_t size() const { return n_; }
+        Iterator begin() const { return Iterator(keys_, values_); }
+        Iterator end() const { return Iterator(keys_ + n_, values_ + n_); }
 
       private:
-        const std::vector<Entry>* entries_;
+        const Key* keys_;
+        const double* values_;
+        std::size_t n_;
     };
 
     /** Add @p delta to the named counter (creating it at 0). */
@@ -149,26 +170,41 @@ class StatSet
     void merge(const StatSet& other);
 
     /** All (name, value) pairs in name order. */
-    View all() const { return View(entries_); }
+    View all() const
+    {
+        return View(layout_->data(), values_.data(), values_.size());
+    }
 
-    /** Reserve room for @p n entries (one allocation up front). */
-    void reserve(std::size_t n) { entries_.reserve(n); }
+    /** Reserve room for @p n values (one allocation up front). */
+    void reserve(std::size_t n) { values_.reserve(n); }
 
     /** Multi-line "name = value" dump, for harness output. */
     std::string toString() const;
 
-    void clear() { entries_.clear(); }
+    void clear()
+    {
+        layout_ = &kEmptyLayout;
+        values_.clear();
+    }
 
   private:
-    /** Index of the first entry whose name is not less than @p name. */
-    std::size_t lowerBound(std::string_view name) const;
-    /** The entry for an interned name, inserted at 0 when absent. */
-    Entry& slot(const std::string* name);
-    /** The entry for @p name, interning it only when absent. */
-    Entry& slot(const std::string& name);
-    const Entry* find(const std::string& name) const;
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-    std::vector<Entry> entries_; ///< Sorted by *name, names unique.
+    /** Index of @p name in the layout, npos when absent. */
+    std::size_t indexOf(std::string_view name) const;
+    /**
+     * The value slot of interned @p name with kind @p gauge: moves the
+     * set to the layout's successor when the key is new (inserting a 0
+     * value) or its kind changes. @p at is indexOf(*name).
+     */
+    double& slot(const std::string* name, bool gauge, std::size_t at);
+    double& slot(StatName name, bool gauge);
+    double& slot(const std::string& name, bool gauge);
+
+    static const Layout kEmptyLayout;
+
+    const Layout* layout_ = &kEmptyLayout; ///< Interned.
+    std::vector<double> values_; ///< One per layout key, in order.
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "workload/arrival_trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 
 #include "common/logging.hpp"
@@ -35,6 +36,32 @@ boundedParetoDraw(Prng& prng, std::size_t lo, std::size_t hi,
         l / std::pow(1.0 - u * (1.0 - ratio), 1.0 / alpha);
     const auto v = static_cast<std::size_t>(std::llround(x));
     return std::clamp(v, lo, hi);
+}
+
+/**
+ * "<kind>-<i>-p<prompt>-g<output>", formatted into a stack buffer and
+ * built as a string once, at its exact size.
+ */
+template <std::size_t N>
+std::string
+requestName(const char (&kind)[N], std::size_t i, std::size_t prompt,
+            std::size_t output)
+{
+    // The kind, three 20-digit numbers and four separator characters.
+    char buf[N + 3 * 20 + 4];
+    char* const end = buf + sizeof buf;
+    char* p = std::copy(kind, kind + N - 1, buf);
+    const auto sep = [&p, end](const char* s) {
+        for (; *s != '\0' && p != end; ++s)
+            *p++ = *s;
+    };
+    sep("-");
+    p = std::to_chars(p, end, i).ptr;
+    sep("-p");
+    p = std::to_chars(p, end, prompt).ptr;
+    sep("-g");
+    p = std::to_chars(p, end, output).ptr;
+    return std::string(buf, p);
 }
 
 } // namespace
@@ -92,9 +119,7 @@ generateArrivalTrace(const ArrivalTraceConfig& cfg)
         TracedRequest req;
         req.id = i;
         req.arrival_s = t;
-        req.workload.name = "trace-" + std::to_string(i) + "-p" +
-                            std::to_string(prompt) + "-g" +
-                            std::to_string(output);
+        req.workload.name = requestName("trace", i, prompt, output);
         req.workload.model = cfg.model;
         req.workload.summarize_len = prompt;
         req.workload.generate_len = output;
@@ -189,50 +214,53 @@ generateSharedPrefixTrace(const SharedPrefixTraceConfig& cfg)
     // shape never shifts when the sharing knobs change.
     Prng content(mix64(cfg.base.seed ^ 0x70726566697865ULL)); // "prefixe"
 
-    // Full re-sendable context (prompt + generated reply) of each open
-    // conversation.
-    std::vector<std::vector<std::uint64_t>> conversations;
+    // The latest request of each conversation, open or retired: its
+    // prompt plus its regenerated reply is the re-sendable context.
+    std::vector<std::size_t> conversations;
     for (std::size_t i = 0; i < trace.size(); ++i) {
         TracedRequest& req = trace[i];
         const std::size_t turn =
             cfg.user_turn_min +
             content.below(cfg.user_turn_max - cfg.user_turn_min + 1);
 
-        std::vector<std::uint64_t> prompt;
-        std::size_t conv = conversations.size(); // npos = fresh.
+        const TracedRequest* last = nullptr; // nullptr = fresh.
         if (!conversations.empty() && content.chance(cfg.followup_prob)) {
             const std::size_t pick = content.below(conversations.size());
-            // A history that can no longer grow a turn + reply within
-            // the prompt cap retires; the request opens fresh instead.
-            if (conversations[pick].size() + turn <= cfg.max_prompt_tokens)
-                conv = pick;
+            // A history that can no longer grow a turn within the
+            // prompt cap retires; the request opens fresh instead.
+            const TracedRequest& prev = trace[conversations[pick]];
+            if (prev.prompt_tokens.size() + prev.workload.generate_len +
+                    turn <=
+                cfg.max_prompt_tokens) {
+                last = &prev;
+                conversations[pick] = i;
+            }
         }
-        if (conv < conversations.size()) {
-            prompt = conversations[conv]; // Re-sent multi-turn context.
+        std::vector<std::uint64_t> prompt;
+        if (last != nullptr) {
+            // Re-sent multi-turn context: the prior prompt and its
+            // (synthetic) generated reply.
+            prompt.reserve(last->prompt_tokens.size() +
+                           last->workload.generate_len + turn);
+            prompt.assign(last->prompt_tokens.begin(),
+                          last->prompt_tokens.end());
+            appendTokens(prompt, mix64(last->seed ^ 0x7265706cULL),
+                         last->workload.generate_len);
         } else {
+            prompt.reserve(cfg.system_prompt_tokens + turn);
             const std::size_t sys = content.below(cfg.num_system_prompts);
             appendTokens(prompt,
                          mix64(cfg.base.seed ^ (0x5953ULL + sys)),
                          cfg.system_prompt_tokens);
+            conversations.push_back(i);
         }
         // Fresh user turn: content unique to this request.
         appendTokens(prompt, mix64(req.seed ^ 0x7475726eULL), turn);
 
         req.workload.summarize_len = prompt.size();
-        req.workload.name = "prefix-" + std::to_string(i) + "-p" +
-                            std::to_string(prompt.size()) + "-g" +
-                            std::to_string(req.workload.generate_len);
-        req.prompt_tokens = prompt;
-
-        // The conversation's next re-sendable context includes the
-        // (synthetic) generated reply.
-        std::vector<std::uint64_t> history = std::move(prompt);
-        appendTokens(history, mix64(req.seed ^ 0x7265706cULL),
-                     req.workload.generate_len);
-        if (conv < conversations.size())
-            conversations[conv] = std::move(history);
-        else
-            conversations.push_back(std::move(history));
+        req.workload.name = requestName("prefix", i, prompt.size(),
+                                        req.workload.generate_len);
+        req.prompt_tokens = std::move(prompt);
     }
     return trace;
 }

@@ -16,6 +16,7 @@
 #include "nn/layers.hpp"
 #include "quant/linear_quant.hpp"
 #include "serve/continuous_batch_scheduler.hpp"
+#include "sim/stats.hpp"
 #include "tensor/ops.hpp"
 
 namespace spatten {
@@ -127,6 +128,20 @@ TEST(FailureInjection, SchedulerBadFarMemoryLink)
     fm.latency_us = 0.5;
     fm.bit_energy_pj = -1.0;
     EXPECT_DEATH(build(fm), "bit_energy_pj");
+}
+
+TEST(FailureInjection, StatLayoutBudgetStopsUnboundedNames)
+{
+    // Each new name moves a set to a layout one key longer, so n
+    // distinct names in one set intern ~n^2/2 layout keys. A name
+    // vocabulary built from unbounded data must die at the budget
+    // instead of growing without limit.
+    const auto flood = [] {
+        StatSet s;
+        for (std::size_t i = 0; i < 4 * 1024; ++i)
+            s.add("budget.flood." + std::to_string(i), 1.0);
+    };
+    EXPECT_DEATH(flood(), "over the budget");
 }
 
 TEST(FailureInjection, FarMemoryValidateRejectsBadLink)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -149,6 +150,107 @@ TEST(StatSet, InternedAndStringWritesShareEntriesInNameOrder)
     EXPECT_EQ(rows_b, want);
     EXPECT_TRUE(a.isGauge("mid"));
     EXPECT_FALSE(a.isGauge("zeta"));
+
+    // Gauge writes of one name through both styles overwrite one entry.
+    b.set("zeta", 7.0);
+    b.set(kZeta, 8.0);
+    EXPECT_EQ(b.all().size(), 3u);
+    EXPECT_DOUBLE_EQ(b.get("zeta"), 8.0);
+    EXPECT_TRUE(b.isGauge("zeta"));
+}
+
+using Rows = std::vector<std::tuple<std::string, double, bool>>;
+
+/// (name, value, gauge) rows of @p s in name order.
+Rows
+statRows(const StatSet& s)
+{
+    Rows rows;
+    for (const auto& [name, value] : s.all())
+        rows.emplace_back(name, value, s.isGauge(name));
+    return rows;
+}
+
+/// A set built along one fixed write path, so copies of it and other
+/// sets built the same way share one interned layout.
+StatSet
+sharedLayoutSet()
+{
+    StatSet s;
+    s.add("layout.counter", 1.0);
+    s.set("layout.gauge", 2.0);
+    return s;
+}
+
+TEST(StatSet, SetsSharingALayoutChangeIndependently)
+{
+    const Rows base = {{"layout.counter", 1.0, false},
+                       {"layout.gauge", 2.0, true}};
+
+    // A new key in one set.
+    StatSet a = sharedLayoutSet(), b = sharedLayoutSet();
+    a.add("layout.extra", 3.0);
+    EXPECT_EQ(statRows(b), base);
+    EXPECT_EQ(statRows(a), (Rows{{"layout.counter", 1.0, false},
+                                 {"layout.extra", 3.0, false},
+                                 {"layout.gauge", 2.0, true}}));
+
+    // Gauge -> counter through add().
+    StatSet c = sharedLayoutSet();
+    c.add("layout.gauge", 1.0);
+    EXPECT_EQ(statRows(c), (Rows{{"layout.counter", 1.0, false},
+                                 {"layout.gauge", 3.0, false}}));
+    EXPECT_EQ(statRows(b), base);
+
+    // Counter -> gauge through set().
+    StatSet d = sharedLayoutSet();
+    d.set("layout.counter", 5.0);
+    EXPECT_EQ(statRows(d), (Rows{{"layout.counter", 5.0, true},
+                                 {"layout.gauge", 2.0, true}}));
+    EXPECT_EQ(statRows(b), base);
+
+    // A kind adopted through merge(): the merged-in counter turns e's
+    // gauge into a counter; e's other key keeps its kind.
+    StatSet e = sharedLayoutSet();
+    StatSet other;
+    other.add("layout.gauge", 4.0);
+    e.merge(other);
+    EXPECT_EQ(statRows(e), (Rows{{"layout.counter", 1.0, false},
+                                 {"layout.gauge", 6.0, false}}));
+    EXPECT_EQ(statRows(b), base);
+
+    // Value writes to existing keys stay private to each copy.
+    StatSet f = b;
+    f.add("layout.counter", 10.0);
+    f.set("layout.gauge", 20.0);
+    EXPECT_EQ(statRows(b), base);
+    EXPECT_EQ(statRows(f), (Rows{{"layout.counter", 11.0, false},
+                                 {"layout.gauge", 20.0, true}}));
+}
+
+TEST(StatSet, SelfMergeDoublesCountersAndKeepsGauges)
+{
+    StatSet s = sharedLayoutSet();
+    s.add("layout.more", 0.25);
+    s.merge(s);
+    EXPECT_DOUBLE_EQ(s.get("layout.counter"), 2.0);
+    EXPECT_DOUBLE_EQ(s.get("layout.more"), 0.5);
+    EXPECT_DOUBLE_EQ(s.get("layout.gauge"), 2.0);
+    EXPECT_TRUE(s.isGauge("layout.gauge"));
+    EXPECT_FALSE(s.isGauge("layout.counter"));
+}
+
+TEST(StatSet, ClearResetsTheSet)
+{
+    StatSet s = sharedLayoutSet();
+    s.clear();
+    EXPECT_EQ(s.all().size(), 0u);
+    EXPECT_FALSE(s.has("layout.counter"));
+    EXPECT_DOUBLE_EQ(s.get("layout.gauge"), 0.0);
+    EXPECT_EQ(s.toString(), "");
+    // Reusable from empty: the old keys do not come back.
+    s.add("layout.gauge", 1.0);
+    EXPECT_EQ(statRows(s), (Rows{{"layout.gauge", 1.0, false}}));
 }
 
 // ---------------------------------------------------------------------

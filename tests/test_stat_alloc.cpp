@@ -1,7 +1,9 @@
-/// Allocation guard for the flat StatSet. Every served request keeps its
+/// Allocation guard for the StatSet. Every served request keeps its
 /// finalized RunResult, so a RunResult copy must stay a handful of
 /// allocations, not one heap node per stat: at most the workload name
-/// and the single stat array, however many stats the result carries.
+/// and the single value array, however many stats the result carries.
+/// The names and kinds live once in the shared interned layout, so the
+/// copy costs 8 bytes (one double) per stat plus the name.
 ///
 /// The binary replaces the global operator new with a counting one, so
 /// it lives alone rather than in a shared test executable.
@@ -18,6 +20,7 @@
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_bytes{0};
 
 } // namespace
 
@@ -28,6 +31,7 @@ std::atomic<std::size_t> g_allocations{0};
 operator new(std::size_t size)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
     if (void* p = std::malloc(size == 0 ? 1 : size))
         return p;
     throw std::bad_alloc();
@@ -77,6 +81,25 @@ copyAllocations(const RunResult& r)
     return after - before;
 }
 
+/// Heap bytes requested by copying @p r.
+std::size_t
+copyBytes(const RunResult& r)
+{
+    const std::size_t before = g_bytes.load();
+    const RunResult copy = r;
+    const std::size_t after = g_bytes.load();
+    EXPECT_EQ(copy.stats.all().size(), r.stats.all().size());
+    return after - before;
+}
+
+/// The most a RunResult copy may allocate: one double per stat and the
+/// name's characters with their terminator.
+std::size_t
+copyBudget(const RunResult& r)
+{
+    return r.stats.all().size() * sizeof(double) + r.workload.size() + 1;
+}
+
 /// A name too long for the small-string buffer, so the copy of the
 /// name is one of the two allowed allocations.
 WorkloadSpec
@@ -115,6 +138,17 @@ TEST(StatAlloc, CopyingAFinalizedSessionAllocatesNameAndStatArrayOnly)
     const RunResult r = finishedSession()->finalize();
     ASSERT_GE(r.stats.all().size(), 37u);
     EXPECT_LE(copyAllocations(r), 2u);
+}
+
+TEST(StatAlloc, CopyingAFinalizedResultAllocatesEightBytesPerStat)
+{
+    SpAttenAccelerator accel;
+    const RunResult ran = accel.run(gpt2(512, 16), PruningPolicy{});
+    const RunResult finalized = finishedSession()->finalize();
+    for (const RunResult* r : {&ran, &finalized}) {
+        ASSERT_GE(r->stats.all().size(), 37u);
+        EXPECT_LE(copyBytes(*r), copyBudget(*r));
+    }
 }
 
 // finalize() sizes the stat array once for every entry it writes, so

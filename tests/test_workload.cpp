@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "workload/arrival_trace.hpp"
@@ -479,6 +480,84 @@ TEST(SharedPrefixTrace, FollowupsReuseConversationHistory)
     EXPECT_GE(extending, trace.size() / 2)
         << "forced follow-ups must extend earlier conversations "
            "(fresh restarts only at the prompt cap)";
+}
+
+/// 64-bit digest of every field a trace generator fills: id, arrival
+/// time (its bit pattern), name, both lengths, seed, priority and the
+/// prompt content. Any drift in any request changes it.
+std::uint64_t
+traceDigest(const std::vector<TracedRequest>& trace)
+{
+    std::uint64_t h = mix64(trace.size());
+    const auto fold = [&h](std::uint64_t x) { h = mix64(h ^ x); };
+    for (const TracedRequest& r : trace) {
+        fold(r.id);
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &r.arrival_s, sizeof bits);
+        fold(bits);
+        fold(r.workload.name.size());
+        for (const char c : r.workload.name)
+            fold(static_cast<unsigned char>(c));
+        fold(r.workload.summarize_len);
+        fold(r.workload.generate_len);
+        fold(r.seed);
+        fold(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.priority)));
+        fold(r.prompt_tokens.size());
+        for (const std::uint64_t t : r.prompt_tokens)
+            fold(t);
+    }
+    return h;
+}
+
+// Pinned digests of three whole traces, so a rewrite of any generator
+// (name formatting, content composition, retirement) must reproduce
+// every request bit for bit.
+TEST(TraceIdentity, ArrivalTraceDigestPinned)
+{
+    ArrivalTraceConfig tc;
+    tc.num_requests = 2048;
+    tc.seed = 0x1d;
+    tc.process = ArrivalProcess::OnOffBurst;
+    tc.prompt_dist = PromptLengthDist::BoundedPareto;
+    tc.priority_levels = 3;
+    const auto trace = generateArrivalTrace(tc);
+    ASSERT_EQ(trace.size(), 2048u);
+    EXPECT_EQ(traceDigest(trace), 0x73036d61eeec37f1ULL);
+}
+
+TEST(TraceIdentity, DiurnalTraceDigestPinned)
+{
+    DiurnalTraceConfig dc;
+    dc.base.num_requests = 2048;
+    dc.base.seed = 0xd1;
+    dc.day_s = 1.0;
+    dc.amplitude = 0.8;
+    const auto trace = generateDiurnalTrace(dc);
+    ASSERT_EQ(trace.size(), 2048u);
+    EXPECT_EQ(traceDigest(trace), 0x9dcc9254ddb33a28ULL);
+}
+
+TEST(TraceIdentity, SharedPrefixTraceWithRetirementDigestPinned)
+{
+    auto sp = sharedPrefixConfig(2048, 0x5a);
+    sp.followup_prob = 1.0; // Only retirement opens a new conversation.
+    sp.base.min_output = 16;
+    sp.max_prompt_tokens = 256;
+    const auto trace = generateSharedPrefixTrace(sp);
+    ASSERT_EQ(trace.size(), 2048u);
+    // A follow-up carries at least sys + turn + reply + turn tokens, so
+    // any shorter prompt opened a conversation; past the first request
+    // that only happens when the picked history hit the cap.
+    const std::size_t opener_max = sp.system_prompt_tokens + sp.user_turn_max;
+    ASSERT_GT(sp.system_prompt_tokens + 2 * sp.user_turn_min +
+                  sp.base.min_output,
+              opener_max);
+    std::size_t openers = 0;
+    for (const TracedRequest& r : trace)
+        if (r.prompt_tokens.size() <= opener_max)
+            ++openers;
+    EXPECT_GT(openers, 16u) << "conversations must retire at the cap";
+    EXPECT_EQ(traceDigest(trace), 0xe752db2fd30ce923ULL);
 }
 
 TEST(SharedPrefixTrace, SeedStabilityGolden)
