@@ -730,11 +730,11 @@ class RunState
         // pooled percentiles above weight every gap equally, so a
         // single long request dominates them (see ServeReport).
         {
-            std::vector<double> req_p99s;
+            std::vector<double> req_p99s, gaps_scratch;
             req_p99s.reserve(n);
             for (const ServedRequest& r : rep_.requests)
                 if (r.tokens >= 2)
-                    req_p99s.push_back(r.itlP99Seconds());
+                    req_p99s.push_back(r.itlP99Seconds(gaps_scratch));
             std::sort(req_p99s.begin(), req_p99s.end());
             rep_.req_itl_p99_p50_s = sortedQuantile(req_p99s, 0.50);
             rep_.req_itl_p99_p99_s = sortedQuantile(req_p99s, 0.99);

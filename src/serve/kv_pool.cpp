@@ -238,7 +238,7 @@ KvPool::tryReserve(std::size_t id, const ModelSpec& model,
 
 KvPool::PrefixReservation
 KvPool::tryReservePrefix(std::size_t id, const ModelSpec& model,
-                         const std::vector<std::uint64_t>& prompt_tokens)
+                         TokenSpan prompt_tokens)
 {
     SPATTEN_ASSERT(held_.count(id) == 0,
                    "request %zu already holds a KV reservation", id);

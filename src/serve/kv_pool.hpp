@@ -63,6 +63,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/tokens.hpp"
 #include "core/model_spec.hpp"
 
 namespace spatten {
@@ -142,11 +143,13 @@ class KvPool
      * admissions, and allocate the tail privately. Only the non-shared
      * blocks are charged against the budget. A hash collision (same
      * chain hash, different stored tokens) is treated as a miss: the
-     * block falls back to a private allocation.
+     * block falls back to a private allocation. @p prompt_tokens is
+     * only read during the call, so a vector or a trace's PromptTokens
+     * view passes without a copy.
      */
-    PrefixReservation tryReservePrefix(
-        std::size_t id, const ModelSpec& model,
-        const std::vector<std::uint64_t>& prompt_tokens);
+    PrefixReservation tryReservePrefix(std::size_t id,
+                                       const ModelSpec& model,
+                                       TokenSpan prompt_tokens);
 
     /**
      * Resize request @p id's reservation to @p tokens tokens.

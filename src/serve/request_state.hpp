@@ -98,11 +98,20 @@ struct ServedRequest
      *  pooled ServeReport percentiles over-weight long requests on. */
     double itlP99Seconds() const
     {
-        auto gaps = interTokenGaps();
-        if (gaps.empty())
-            return 0.0;
-        std::sort(gaps.begin(), gaps.end());
-        return sortedQuantile(gaps, 0.99);
+        std::vector<double> scratch;
+        return itlP99Seconds(scratch);
+    }
+
+    /** itlP99Seconds() with its sorted gaps built in @p scratch, whose
+     *  storage a caller can reuse across requests (no per-call
+     *  allocation once it has grown). */
+    double itlP99Seconds(std::vector<double>& scratch) const
+    {
+        scratch.clear();
+        for (std::size_t i = 1; i < token_times_s.size(); ++i)
+            scratch.push_back(token_times_s[i] - token_times_s[i - 1]);
+        std::sort(scratch.begin(), scratch.end());
+        return sortedQuantile(scratch, 0.99);
     }
 
     /** Mean inter-token latency (0 when fewer than two tokens).

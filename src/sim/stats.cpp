@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <set>
@@ -17,8 +18,11 @@ namespace {
 /** Layout keys compare by (name pointer, kind): a content identity. */
 struct LayoutLess
 {
-    bool operator()(const StatSet::Layout& a, const StatSet::Layout& b) const
+    bool operator()(const StatSet::Layout& lhs,
+                    const StatSet::Layout& rhs) const
     {
+        const auto& a = lhs.keys;
+        const auto& b = rhs.keys;
         return std::lexicographical_compare(
             a.begin(), a.end(), b.begin(), b.end(),
             [](const StatSet::Key& x, const StatSet::Key& y) {
@@ -56,6 +60,17 @@ struct Successor
     std::size_t index;
 };
 
+} // namespace
+
+struct StatSet::Transition
+{
+    const std::string* name;
+    bool gauge;
+    Successor next;
+};
+
+namespace {
+
 /**
  * The process-wide registry: interned names, interned layouts and the
  * transition table between them. Append-only and node-stable; every
@@ -67,6 +82,7 @@ struct Registry
     std::set<std::string, std::less<>> names;
     std::set<StatSet::Layout, LayoutLess> layouts;
     std::unordered_map<Step, Successor, StepHash> steps;
+    std::deque<StatSet::Transition> hints; ///< Targets of Layout::hint.
     std::size_t layout_keys = 0;
 
     static Registry& get()
@@ -98,24 +114,24 @@ intern(std::string_view name)
     return &*it;
 }
 
-/** The layout reached from @p from by writing @p name as @p gauge. */
+/** successor() under the registry lock: the cached or new step. */
 Successor
-successor(const StatSet::Layout* from, const std::string* name, bool gauge)
+successorLocked(Registry& reg, const StatSet::Layout* from,
+                const std::string* name, bool gauge)
 {
-    Registry& reg = Registry::get();
-    const std::lock_guard<std::mutex> lock(reg.mu);
-    const Step step{from, name, gauge};
-    if (const auto it = reg.steps.find(step); it != reg.steps.end())
+    const Step key{from, name, gauge};
+    if (const auto it = reg.steps.find(key); it != reg.steps.end())
         return it->second;
 
-    StatSet::Layout keys = *from;
+    StatSet::Layout probe(from->keys);
+    auto& keys = probe.keys;
     const std::size_t i = lowerBound(keys.data(), keys.size(), *name);
     if (i < keys.size() && keys[i].name == name)
         keys[i].gauge = gauge;
     else
         keys.insert(keys.begin() + static_cast<std::ptrdiff_t>(i),
                     {name, gauge});
-    auto layout = reg.layouts.find(keys);
+    auto layout = reg.layouts.find(probe);
     if (layout == reg.layouts.end()) {
         SPATTEN_ASSERT(reg.layout_keys + keys.size() <=
                            StatSet::kLayoutKeyBudget,
@@ -124,10 +140,31 @@ successor(const StatSet::Layout* from, const std::string* name, bool gauge)
                        reg.layout_keys + keys.size(),
                        StatSet::kLayoutKeyBudget);
         reg.layout_keys += keys.size();
-        layout = reg.layouts.insert(std::move(keys)).first;
+        layout = reg.layouts.emplace(std::move(keys)).first;
     }
     const Successor next{&*layout, i};
-    reg.steps.emplace(step, next);
+    reg.steps.emplace(key, next);
+    return next;
+}
+
+/** The layout reached from @p from by writing @p name as @p gauge. */
+Successor
+successor(const StatSet::Layout* from, const std::string* name, bool gauge)
+{
+    // Lock-free fast path: a hint is fully built before its release
+    // store and never changes afterwards.
+    if (const StatSet::Transition* t =
+            from->hint.load(std::memory_order_acquire);
+        t != nullptr && t->name == name && t->gauge == gauge)
+        return t->next;
+
+    Registry& reg = Registry::get();
+    const std::lock_guard<std::mutex> lock(reg.mu);
+    const Successor next = successorLocked(reg, from, name, gauge);
+    if (from->hint.load(std::memory_order_relaxed) == nullptr) {
+        reg.hints.push_back({name, gauge, next});
+        from->hint.store(&reg.hints.back(), std::memory_order_release);
+    }
     return next;
 }
 
@@ -141,14 +178,14 @@ std::size_t
 StatSet::indexOf(std::string_view name) const
 {
     const std::size_t n = values_.size();
-    const std::size_t i = lowerBound(layout_->data(), n, name);
-    return i < n && *(*layout_)[i].name == name ? i : npos;
+    const std::size_t i = lowerBound(layout_->keys.data(), n, name);
+    return i < n && *layout_->keys[i].name == name ? i : npos;
 }
 
 double&
 StatSet::slot(const std::string* name, bool gauge, std::size_t at)
 {
-    if (at != npos && (*layout_)[at].gauge == gauge)
+    if (at != npos && layout_->keys[at].gauge == gauge)
         return values_[at];
     const Successor next = successor(layout_, name, gauge);
     layout_ = next.layout;
@@ -169,7 +206,8 @@ double&
 StatSet::slot(const std::string& name, bool gauge)
 {
     const std::size_t at = indexOf(name);
-    return slot(at == npos ? intern(name) : (*layout_)[at].name, gauge, at);
+    return slot(at == npos ? intern(name) : layout_->keys[at].name, gauge,
+                at);
 }
 
 // Accumulating into an entry makes it a counter, whatever it was: the
@@ -215,7 +253,7 @@ bool
 StatSet::isGauge(const std::string& name) const
 {
     const std::size_t i = indexOf(name);
-    return i != npos && (*layout_)[i].gauge;
+    return i != npos && layout_->keys[i].gauge;
 }
 
 void
@@ -223,7 +261,7 @@ StatSet::merge(const StatSet& other)
 {
     // Self-merge is safe: every key is already present with its kind,
     // so slot() never moves the layout or the values.
-    const Layout& ok = *other.layout_;
+    const auto& ok = other.layout_->keys;
     for (std::size_t j = 0; j < other.values_.size(); ++j) {
         double& v = slot(ok[j].name, ok[j].gauge, indexOf(*ok[j].name));
         if (ok[j].gauge)

@@ -26,12 +26,13 @@
  *
  * Thread safety. Interning a name — constructing a StatName, or add() /
  * set() of a string name the set does not hold yet — and every layout
- * step (a new key or a kind change) take the registry's lock. Value
- * writes to existing keys, get/has/isGauge, copying, all() and merging
- * two sets of one layout read only immutable interned data without
- * locking. Distinct StatSets may therefore be built on any number of
- * threads at once; one StatSet is not itself synchronized, like any
- * standard container.
+ * step (a new key or a kind change) that the layout's hint does not
+ * cover take the registry's lock. Value writes to existing keys,
+ * get/has/isGauge, copying, all(), merging two sets of one layout and
+ * hinted steps read only immutable interned data without locking.
+ * Distinct StatSets may therefore be built on any number of threads at
+ * once; one StatSet is not itself synchronized, like any standard
+ * container.
  *
  * Name order. all() and toString() walk entries in ascending
  * std::string order of their names — the same order the former
@@ -41,6 +42,7 @@
 #ifndef SPATTEN_SIM_STATS_HPP
 #define SPATTEN_SIM_STATS_HPP
 
+#include <atomic>
 #include <cstddef>
 #include <iterator>
 #include <string>
@@ -84,8 +86,23 @@ class StatSet
                                  ///< pointers.
         bool gauge;              ///< Last written via set().
     };
-    /** An interned, immutable key list, sorted by *name. */
-    using Layout = std::vector<Key>;
+    /** A step taken from a layout: its key, and where it lands. */
+    struct Transition;
+    /**
+     * An interned, immutable key list, sorted by *name, with a
+     * write-once hint: the first step ever taken from it, published
+     * with release ordering and read lock-free (acquire). Sets built
+     * along one fixed path — every finalized result — step through the
+     * hints without the registry lock.
+     */
+    struct Layout
+    {
+        Layout() = default;
+        explicit Layout(std::vector<Key> k) : keys(std::move(k)) {}
+
+        std::vector<Key> keys;
+        mutable std::atomic<const Transition*> hint{nullptr};
+    };
 
     /** Budget on the keys of all interned layouts together. */
     static constexpr std::size_t kLayoutKeyBudget = std::size_t{1} << 20;
@@ -172,7 +189,7 @@ class StatSet
     /** All (name, value) pairs in name order. */
     View all() const
     {
-        return View(layout_->data(), values_.data(), values_.size());
+        return View(layout_->keys.data(), values_.data(), values_.size());
     }
 
     /** Reserve room for @p n values (one allocation up front). */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <memory>
 
 #include "common/logging.hpp"
 
@@ -214,53 +215,72 @@ generateSharedPrefixTrace(const SharedPrefixTraceConfig& cfg)
     // shape never shifts when the sharing knobs change.
     Prng content(mix64(cfg.base.seed ^ 0x70726566697865ULL)); // "prefixe"
 
-    // The latest request of each conversation, open or retired: its
-    // prompt plus its regenerated reply is the re-sendable context.
+    // Pass 1 — structure. Every draw depends only on lengths, so the
+    // conversations, their system prompts and every prompt length are
+    // fixed before any token exists. conversations[c] is the latest
+    // request of conversation c, open or retired: its prompt plus its
+    // regenerated reply is the re-sendable context.
     std::vector<std::size_t> conversations;
+    std::vector<std::size_t> system_prompt; // Per conversation.
+    std::vector<std::size_t> conversation(trace.size()); // Per request.
     for (std::size_t i = 0; i < trace.size(); ++i) {
         TracedRequest& req = trace[i];
         const std::size_t turn =
             cfg.user_turn_min +
             content.below(cfg.user_turn_max - cfg.user_turn_min + 1);
 
-        const TracedRequest* last = nullptr; // nullptr = fresh.
+        std::size_t context = 0; // Re-sent history; 0 opens fresh.
         if (!conversations.empty() && content.chance(cfg.followup_prob)) {
             const std::size_t pick = content.below(conversations.size());
             // A history that can no longer grow a turn within the
             // prompt cap retires; the request opens fresh instead.
             const TracedRequest& prev = trace[conversations[pick]];
-            if (prev.prompt_tokens.size() + prev.workload.generate_len +
-                    turn <=
-                cfg.max_prompt_tokens) {
-                last = &prev;
+            const std::size_t resent =
+                prev.workload.summarize_len + prev.workload.generate_len;
+            if (resent + turn <= cfg.max_prompt_tokens) {
+                context = resent;
+                conversation[i] = pick;
                 conversations[pick] = i;
             }
         }
-        std::vector<std::uint64_t> prompt;
-        if (last != nullptr) {
-            // Re-sent multi-turn context: the prior prompt and its
-            // (synthetic) generated reply.
-            prompt.reserve(last->prompt_tokens.size() +
-                           last->workload.generate_len + turn);
-            prompt.assign(last->prompt_tokens.begin(),
-                          last->prompt_tokens.end());
-            appendTokens(prompt, mix64(last->seed ^ 0x7265706cULL),
-                         last->workload.generate_len);
-        } else {
-            prompt.reserve(cfg.system_prompt_tokens + turn);
-            const std::size_t sys = content.below(cfg.num_system_prompts);
-            appendTokens(prompt,
-                         mix64(cfg.base.seed ^ (0x5953ULL + sys)),
-                         cfg.system_prompt_tokens);
+        if (context == 0) {
+            context = cfg.system_prompt_tokens;
+            conversation[i] = conversations.size();
+            system_prompt.push_back(content.below(cfg.num_system_prompts));
             conversations.push_back(i);
         }
-        // Fresh user turn: content unique to this request.
-        appendTokens(prompt, mix64(req.seed ^ 0x7475726eULL), turn);
-
-        req.workload.summarize_len = prompt.size();
-        req.workload.name = requestName("prefix", i, prompt.size(),
+        req.workload.summarize_len = context + turn;
+        req.workload.name = requestName("prefix", i, context + turn,
                                         req.workload.generate_len);
-        req.prompt_tokens = std::move(prompt);
+    }
+
+    // Pass 2 — content, in request order. Each conversation's buffer is
+    // sized once to its final (latest) prompt; a turn appends the
+    // system prompt (opener) or its predecessor's synthetic reply, then
+    // its fresh user turn, and views the buffer's prefix so far.
+    std::vector<std::shared_ptr<PromptTokens::Buffer>> buffers(
+        conversations.size());
+    std::vector<std::size_t> tail(conversations.size()); // Latest seen.
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        TracedRequest& req = trace[i];
+        const std::size_t c = conversation[i];
+        std::shared_ptr<PromptTokens::Buffer>& buf = buffers[c];
+        if (!buf) {
+            buf = std::make_shared<PromptTokens::Buffer>();
+            buf->reserve(trace[conversations[c]].workload.summarize_len);
+            appendTokens(*buf,
+                         mix64(cfg.base.seed ^ (0x5953ULL + system_prompt[c])),
+                         cfg.system_prompt_tokens);
+        } else {
+            const TracedRequest& last = trace[tail[c]];
+            appendTokens(*buf, mix64(last.seed ^ 0x7265706cULL),
+                         last.workload.generate_len);
+        }
+        tail[c] = i;
+        // Fresh user turn: content unique to this request.
+        appendTokens(*buf, mix64(req.seed ^ 0x7475726eULL),
+                     req.workload.summarize_len - buf->size());
+        req.prompt_tokens = PromptTokens(buf, buf->size());
     }
     return trace;
 }

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/prng.hpp"
+#include "common/tokens.hpp"
 #include "core/model_spec.hpp"
 
 namespace spatten {
@@ -41,8 +42,9 @@ struct TracedRequest
     /// legacy traces: every prompt is unique content, so the serving
     /// layer's shared-prefix cache can never match it. Filled by
     /// generateSharedPrefixTrace so requests sharing a system prompt
-    /// or conversation history share a literal token prefix.
-    std::vector<std::uint64_t> prompt_tokens;
+    /// or conversation history share a literal token prefix; every
+    /// turn of one conversation views the same stored buffer.
+    PromptTokens prompt_tokens;
 };
 
 /** How arrival times are generated. */
@@ -184,7 +186,8 @@ std::vector<TracedRequest> generateDiurnalTrace(
  * sees the same demand shape), then a *separate* content PRNG stream
  * (derived from base.seed) composes each prompt: system prompt or
  * re-sent conversation history, plus fresh user-turn tokens. Every
- * request carries its full prompt token ids; workload.summarize_len is
+ * request carries its full prompt token ids as a view into its
+ * conversation's one exact-size buffer; workload.summarize_len is
  * overridden to match. Deterministic: the same config yields a
  * bit-identical trace.
  */

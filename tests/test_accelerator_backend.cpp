@@ -295,7 +295,9 @@ buildWorkerStats(std::size_t tid)
 // StatSet names are interned in one process-wide table. Workers that
 // intern fresh names concurrently (the shared ones racing each other)
 // must each end up with exactly the single-threaded registry; under
-// TSan this is the intern table's race check.
+// TSan this is the race check of the intern table and of the layouts'
+// lock-free successor hints (every worker steps through the shared
+// names and a finalized session's fixed path at once).
 TEST(SessionStats, ConcurrentStatSetsMatchSingleThreadedReference)
 {
     constexpr std::size_t kWorkers = 8;

@@ -14,10 +14,12 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/prng.hpp"
+#include "common/tokens.hpp"
 #include "serve/kv_pool.hpp"
 
 namespace spatten {
@@ -75,6 +77,40 @@ TEST(KvPoolPrefix, SharedBlocksChargedOnceAndRefCounted)
     EXPECT_EQ(pool.usedBytes(), 4 * kBlockBytes);
     EXPECT_EQ(pool.coldBytes(), 4 * kBlockBytes);
     EXPECT_EQ(pool.residentRequests(), 0u);
+}
+
+TEST(KvPoolPrefix, SharedBufferViewMatchesVector)
+{
+    // A trace hands the pool a view of the first n tokens of a longer
+    // conversation buffer. It must reserve, hit and cache exactly what
+    // a vector of those n tokens does, and never read past n: a view of
+    // 40 tokens caches 2 complete blocks, not the buffer's third.
+    const ModelSpec m = tinyModel();
+    const auto conversation =
+        std::make_shared<const std::vector<std::uint64_t>>(prompt(7, 112));
+    KvPool by_vector({10 * kBlockBytes, 16});
+    KvPool by_view({10 * kBlockBytes, 16});
+    const std::size_t lens[] = {40, 32, 72, 112, 48};
+    std::size_t hits = 0;
+    for (std::size_t id = 0; id < std::size(lens); ++id) {
+        const PromptTokens view(conversation, lens[id]);
+        const std::vector<std::uint64_t> copy(view.begin(), view.end());
+        const auto a = by_vector.tryReservePrefix(id, m, copy);
+        const auto b = by_view.tryReservePrefix(id, m, view);
+        ASSERT_TRUE(a.ok && b.ok) << "prompt " << id;
+        EXPECT_EQ(a.cached_tokens, b.cached_tokens) << "prompt " << id;
+        EXPECT_EQ(a.shared_bytes, b.shared_bytes) << "prompt " << id;
+        EXPECT_EQ(a.promoted_bytes, b.promoted_bytes) << "prompt " << id;
+        EXPECT_EQ(by_vector.usedBytes(), by_view.usedBytes());
+        EXPECT_EQ(by_vector.cachedBlocks(), by_view.cachedBlocks());
+        EXPECT_EQ(by_vector.sharedBlockRefs(id), by_view.sharedBlockRefs(id));
+        hits += b.cached_tokens > 0 ? 1 : 0;
+        if (id == 0) {
+            EXPECT_EQ(by_view.cachedBlocks(), 2u);
+        }
+    }
+    EXPECT_EQ(hits, 4u);
+    EXPECT_EQ(by_view.usedBytes(), 9 * kBlockBytes);
 }
 
 TEST(KvPoolPrefix, PartialTailBlockStaysPrivate)

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <vector>
 
 #include "workload/arrival_trace.hpp"
 #include "workload/attention_trace.hpp"
@@ -480,6 +481,76 @@ TEST(SharedPrefixTrace, FollowupsReuseConversationHistory)
     EXPECT_GE(extending, trace.size() / 2)
         << "forced follow-ups must extend earlier conversations "
            "(fresh restarts only at the prompt cap)";
+}
+
+// A request's prompt view costs what the vector it replaced did.
+static_assert(sizeof(PromptTokens) == sizeof(std::vector<std::uint64_t>),
+              "PromptTokens must not grow TracedRequest");
+
+TEST(SharedPrefixTrace, ConversationTurnsShareOneBuffer)
+{
+    const auto sp = sharedPrefixConfig(256);
+    TracedRequest survivor;
+    std::size_t survivor_idx = 0;
+    {
+        const auto trace = generateSharedPrefixTrace(sp);
+        // Conversations from content alone: a turn's predecessor is the
+        // longest earlier prompt it strictly extends (user turns are
+        // unique per request, so only a conversation's own history is a
+        // strict prefix of its prompt).
+        const std::size_t none = trace.size();
+        std::vector<std::size_t> pred(trace.size(), none);
+        std::vector<bool> extended(trace.size(), false);
+        std::set<const PromptTokens::Buffer*> seen;
+        std::size_t followups = 0;
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            const auto& p = trace[i].prompt_tokens;
+            for (std::size_t j = 0; j < i; ++j) {
+                const auto& q = trace[j].prompt_tokens;
+                if (q.size() < p.size() &&
+                    std::equal(q.begin(), q.end(), p.begin()) &&
+                    (pred[i] == none ||
+                     q.size() > trace[pred[i]].prompt_tokens.size()))
+                    pred[i] = j;
+            }
+            const PromptTokens::Buffer* buf = p.buffer().get();
+            ASSERT_NE(buf, nullptr);
+            if (pred[i] == none) {
+                EXPECT_TRUE(seen.insert(buf).second)
+                    << "request " << i
+                    << " opens a conversation on another's buffer";
+            } else {
+                ++followups;
+                extended[pred[i]] = true;
+                EXPECT_EQ(p.data(), trace[pred[i]].prompt_tokens.data())
+                    << "follow-up " << i << " copied its history";
+            }
+        }
+        EXPECT_GE(followups, trace.size() / 4);
+
+        // Stored tokens: each conversation once, at its final (last
+        // turn's) length, with no growth slack.
+        std::size_t final_tokens = 0;
+        for (std::size_t i = 0; i < trace.size(); ++i)
+            if (!extended[i])
+                final_tokens += trace[i].prompt_tokens.size();
+        std::size_t stored = 0;
+        for (const PromptTokens::Buffer* buf : seen) {
+            EXPECT_EQ(buf->capacity(), buf->size());
+            stored += buf->capacity();
+        }
+        EXPECT_EQ(stored, final_tokens);
+
+        // Keep a mid-conversation turn past the trace's lifetime.
+        survivor_idx = trace.size() / 2;
+        while (pred[survivor_idx] == none)
+            ++survivor_idx;
+        survivor = trace[survivor_idx];
+    }
+    // The copy co-owns its buffer: its tokens outlive the trace.
+    const auto again = generateSharedPrefixTrace(sp);
+    EXPECT_EQ(survivor.prompt_tokens, again[survivor_idx].prompt_tokens);
+    EXPECT_EQ(survivor.prompt_tokens.size(), survivor.workload.summarize_len);
 }
 
 /// 64-bit digest of every field a trace generator fills: id, arrival
