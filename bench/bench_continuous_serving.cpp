@@ -32,6 +32,23 @@
 #include "bench_util.hpp"
 #include "serve/continuous_batch_scheduler.hpp"
 
+// Whether a sanitizer instruments this build, as the compiler alone
+// says: GCC defines the __SANITIZE_*__ macros, clang answers
+// __has_feature.
+namespace {
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr bool kSanitizerBuild = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+constexpr bool kSanitizerBuild = true;
+#else
+constexpr bool kSanitizerBuild = false;
+#endif
+#else
+constexpr bool kSanitizerBuild = false;
+#endif
+} // namespace
+
 int
 main()
 {
@@ -659,8 +676,15 @@ main()
         std::printf("FAIL: the diurnal trace must be served in full\n");
         return 1;
     }
-    // The acceptance bar this scenario exists to pin.
-    if (day_wall_s >= 60.0) {
+    // The acceptance bar this scenario exists to pin. It times the
+    // uninstrumented program: a sanitizer build serves the same trace
+    // several times slower with nothing wrong (258.8 s under TSan on 4
+    // vCPUs), so there the time is printed but not held to the bound.
+    if (kSanitizerBuild) {
+        std::printf("wall bound not applied: sanitizer build (took %.1f "
+                    "s)\n",
+                    day_wall_s);
+    } else if (day_wall_s >= 60.0) {
         std::printf("FAIL: the 1e5-request diurnal trace must clear in "
                     "< 60 s wallclock (took %.1f s)\n",
                     day_wall_s);

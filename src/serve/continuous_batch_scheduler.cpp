@@ -1,8 +1,10 @@
 #include "serve/continuous_batch_scheduler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <limits>
@@ -315,6 +317,7 @@ class RunState
             rep_.requests[i].priority = trace_[i].priority;
             eligible_[i] = trace_[i].arrival_s;
         }
+        residency_.reserve(trace_.size());
     }
 
     bool finished() const { return finished_ == trace_.size(); }
@@ -665,46 +668,22 @@ class RunState
     ServeReport aggregate()
     {
         const std::size_t n = trace_.size();
+        const std::vector<ServedRequest>& reqs = rep_.requests;
         // peak_concurrency: maximum overlap of the residency intervals
-        // in *simulated* time. A departure at time t frees its KV
-        // before an admission at the same t can reuse it, so ends sort
-        // before starts at equal times (delta -1 < +1).
-        {
-            std::vector<std::pair<double, int>> events;
-            events.reserve(residency_.size() * 2);
-            for (const auto& [start, end] : residency_) {
-                events.emplace_back(start, +1);
-                events.emplace_back(end, -1);
-            }
-            std::sort(events.begin(), events.end());
-            std::ptrdiff_t depth = 0, peak = 0;
-            for (const auto& [time, delta] : events) {
-                depth += delta;
-                peak = std::max(peak, depth);
-            }
-            rep_.peak_concurrency = static_cast<std::size_t>(peak);
-        }
+        // in *simulated* time. They are half-open, so a departure at
+        // time t frees its KV before an admission at the same t can
+        // reuse it.
+        rep_.peak_concurrency = maxOverlap(residency_);
 
-        // The pooled ITL array is sized exactly from the token trails
-        // and filled in place: no per-request gap copies, no growth.
-        std::size_t gaps = 0;
-        for (const ServedRequest& r : rep_.requests)
-            gaps += std::max<std::size_t>(r.token_times_s.size(), 1) - 1;
-        std::vector<double> ttfts, itls, qdelays;
-        ttfts.reserve(n);
-        itls.reserve(gaps);
-        qdelays.reserve(n);
         rep_.total_cycles = wasted_cycles_;
         rep_.total_energy_j = wasted_energy_j_;
         rep_.total_flops = wasted_flops_;
         double dram_bytes = wasted_dram_bytes_, dram_bytes_dense = 0;
-        for (const ServedRequest& r : rep_.requests) {
+        std::size_t gaps = 0;
+        for (const ServedRequest& r : reqs) {
             rep_.makespan_s = std::max(rep_.makespan_s, r.finish_s);
             rep_.total_tokens += r.tokens;
-            ttfts.push_back(r.ttftSeconds());
-            qdelays.push_back(r.queueDelaySeconds());
-            for (std::size_t i = 1; i < r.token_times_s.size(); ++i)
-                itls.push_back(r.token_times_s[i] - r.token_times_s[i - 1]);
+            gaps += std::max<std::size_t>(r.token_times_s.size(), 1) - 1;
             rep_.total_cycles += static_cast<double>(r.sim.cycles);
             rep_.total_energy_j += r.sim.energy.totalJ();
             rep_.total_flops += r.sim.attention_flops;
@@ -717,22 +696,37 @@ class RunState
                 (r.tokens < 2 || r.avgItlSeconds() <= sched_.slo_itl_s);
             rep_.slo_met += good ? 1 : 0;
         }
-        std::sort(ttfts.begin(), ttfts.end());
-        std::sort(itls.begin(), itls.end());
-        std::sort(qdelays.begin(), qdelays.end());
-        rep_.ttft_p50_s = sortedQuantile(ttfts, 0.50);
-        rep_.ttft_p99_s = sortedQuantile(ttfts, 0.99);
-        rep_.queue_delay_p50_s = sortedQuantile(qdelays, 0.50);
-        rep_.queue_delay_p99_s = sortedQuantile(qdelays, 0.99);
-        rep_.itl_p50_s = sortedQuantile(itls, 0.50);
-        rep_.itl_p99_s = sortedQuantile(itls, 0.99);
+        // The pooled percentiles are exact selections over values the
+        // records already hold: no sorted copy of the gaps (a double
+        // per emitted token) or of the per-request delays.
+        constexpr std::array<double, 2> kP50P99{0.50, 0.99};
+        const auto ttft = selectQuantiles(n, kP50P99, [&](const auto& visit) {
+            for (const ServedRequest& r : reqs)
+                visit(r.ttftSeconds());
+        });
+        const auto qdelay =
+            selectQuantiles(n, kP50P99, [&](const auto& visit) {
+                for (const ServedRequest& r : reqs)
+                    visit(r.queueDelaySeconds());
+            });
+        const auto itl = selectQuantiles(gaps, kP50P99, [&](const auto& visit) {
+            for (const ServedRequest& r : reqs)
+                for (std::size_t i = 1; i < r.token_times_s.size(); ++i)
+                    visit(r.token_times_s[i] - r.token_times_s[i - 1]);
+        });
+        rep_.ttft_p50_s = ttft[0];
+        rep_.ttft_p99_s = ttft[1];
+        rep_.queue_delay_p50_s = qdelay[0];
+        rep_.queue_delay_p99_s = qdelay[1];
+        rep_.itl_p50_s = itl[0];
+        rep_.itl_p99_s = itl[1];
         // Per-request ITL tails with equal weight per request — the
         // pooled percentiles above weight every gap equally, so a
         // single long request dominates them (see ServeReport).
         {
             std::vector<double> req_p99s, gaps_scratch;
             req_p99s.reserve(n);
-            for (const ServedRequest& r : rep_.requests)
+            for (const ServedRequest& r : reqs)
                 if (r.tokens >= 2)
                     req_p99s.push_back(r.itlP99Seconds(gaps_scratch));
             std::sort(req_p99s.begin(), req_p99s.end());
@@ -900,7 +894,12 @@ class RunState
     void retire(AccelState& accel, const ActiveSession& m, double end_s)
     {
         accel.pool.release(m.idx);
-        residency_.emplace_back(rep_.requests[m.idx].admit_s, end_s);
+        const double start_s = rep_.requests[m.idx].admit_s;
+        SPATTEN_ASSERT(start_s <= end_s,
+                       "request %zu retires at %g s, before its admission "
+                       "at %g s",
+                       m.idx, end_s, start_s);
+        residency_.emplace_back(start_s, end_s);
     }
 
     /// Evict active[v] vLLM-recompute-style: KV blocks released,
@@ -964,7 +963,13 @@ class RunState
             r.first_token_s = t;
         r.finish_s = t;
         r.phase = RequestPhase::Finished;
-        r.kv_trace = m.session->kvTrace();
+        const std::vector<std::size_t>& kv = m.session->kvTrace();
+        for (const std::size_t len : kv)
+            SPATTEN_ASSERT(len <= std::numeric_limits<std::uint32_t>::max(),
+                           "request %zu keeps %zu KV tokens, beyond the "
+                           "32-bit kv_trace",
+                           m.idx, len);
+        r.kv_trace.assign(kv.begin(), kv.end());
         r.sim = m.session->finalize();
         retire(accel, m, t);
         ++finished_;
@@ -988,9 +993,10 @@ class RunState
     std::uint64_t admit_seq_ = 0; ///< Global admission counter.
     std::size_t finished_ = 0;
     /// Residency intervals [admission, finish-or-eviction) in simulated
-    /// time, across all accelerators and incarnations. peak_concurrency
-    /// is their maximum overlap — computed by a sweep at the end, since
-    /// the host processes accelerator iterations in event order, not in
+    /// time, across all accelerators and incarnations (reserved for one
+    /// per request; preemptions add more). peak_concurrency is their
+    /// maximum overlap — computed by a sweep at the end, since the host
+    /// processes accelerator iterations in event order, not in
     /// simulated-time order, so no running counter samples correctly.
     std::vector<std::pair<double, double>> residency_;
     /// Work consumed by preempted incarnations before they were

@@ -195,7 +195,13 @@ struct ContinuousBatchConfig
     std::size_t iteration_token_budget = 0;
 };
 
-/** Aggregated outcome of serving one trace. */
+/**
+ * Aggregated outcome of serving one trace. Every pooled percentile
+ * (ttft_*, itl_*, queue_delay_*) is an exact type-7 quantile selected
+ * over the values in @c requests (selectQuantiles): the report keeps no
+ * sorted copy of them, and each equals sortedQuantile() of the sorted
+ * values bit for bit.
+ */
 struct ServeReport
 {
     std::vector<ServedRequest> requests; ///< In trace order.

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "accel/pipeline.hpp"
@@ -71,8 +72,11 @@ struct ServedRequest
 
     std::size_t tokens = 0;             ///< Tokens emitted.
     std::vector<double> token_times_s;  ///< Emission time of each token.
-    std::vector<std::size_t> kv_trace;  ///< KV survivors after prefill
-                                        ///< and after each decode step.
+    /// KV survivors after prefill and after each decode step, copied
+    /// from the session's trail at finish. 32-bit (4 B per step, half
+    /// the session's size_t): a resident KV length is bounded by the
+    /// context, and the scheduler asserts every entry fits.
+    std::vector<std::uint32_t> kv_trace;
     RunResult sim;                      ///< Finalized simulation result.
 
     /** Queueing delay: admission minus arrival. */

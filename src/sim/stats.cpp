@@ -5,6 +5,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <queue>
 #include <set>
 #include <unordered_map>
 
@@ -280,17 +281,42 @@ StatSet::toString() const
     return out;
 }
 
+QuantileRanks
+quantileRanks(std::size_t n, double q)
+{
+    SPATTEN_ASSERT(n > 0, "quantileRanks needs at least one sample");
+    const double rank = std::clamp(q, 0.0, 1.0) * static_cast<double>(n - 1);
+    QuantileRanks r;
+    r.lo = static_cast<std::size_t>(rank);
+    r.hi = std::min(r.lo + 1, n - 1);
+    r.frac = rank - static_cast<double>(r.lo);
+    return r;
+}
+
 double
 sortedQuantile(const std::vector<double>& sorted, double q)
 {
     if (sorted.empty())
         return 0.0;
-    const double rank =
-        std::clamp(q, 0.0, 1.0) * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+    const QuantileRanks r = quantileRanks(sorted.size(), q);
+    return r.interpolate(sorted[r.lo], sorted[r.hi]);
+}
+
+std::size_t
+maxOverlap(std::vector<std::pair<double, double>>& intervals)
+{
+    std::sort(intervals.begin(), intervals.end());
+    std::priority_queue<double, std::vector<double>, std::greater<>> ends;
+    std::size_t peak = 0;
+    for (const auto& [start, end] : intervals) {
+        while (!ends.empty() && ends.top() <= start)
+            ends.pop();
+        if (end > start) {
+            ends.push(end);
+            peak = std::max(peak, ends.size());
+        }
+    }
+    return peak;
 }
 
 } // namespace spatten

@@ -42,13 +42,20 @@
 #ifndef SPATTEN_SIM_STATS_HPP
 #define SPATTEN_SIM_STATS_HPP
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "common/logging.hpp"
 
 namespace spatten {
 
@@ -225,6 +232,29 @@ class StatSet
 };
 
 /**
+ * Where a type-7 quantile falls among n >= 1 ascending samples: rank =
+ * q * (n - 1) with q clamped to [0, 1], so the quantile lies @c frac of
+ * the way from the @c lo -th to the @c hi -th smallest sample (0-based,
+ * hi = min(lo + 1, n - 1)). sortedQuantile() and selectQuantiles() both
+ * go through it, so the formula lives once.
+ */
+struct QuantileRanks
+{
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    double frac = 0;
+
+    /** The quantile, given the lo-th and hi-th smallest samples. */
+    double interpolate(double lo_value, double hi_value) const
+    {
+        return lo_value + frac * (hi_value - lo_value);
+    }
+};
+
+/** The type-7 ranks of quantile @p q over @p n >= 1 samples. */
+QuantileRanks quantileRanks(std::size_t n, double q);
+
+/**
  * Quantile of an ascending-sorted sample vector with linear
  * interpolation between adjacent ranks (the "linear"/type-7 definition:
  * rank = q * (n - 1), interpolating between floor and ceil). The single
@@ -233,6 +263,131 @@ class StatSet
  * Returns 0 for an empty sample.
  */
 double sortedQuantile(const std::vector<double>& sorted, double q);
+
+/** Order-preserving unsigned image of a double's bits: a < b implies
+ *  orderedBits(a) < orderedBits(b), and -0.0 maps just below +0.0. */
+inline std::uint64_t
+orderedBits(double v)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+    return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
+
+/** Inverse of orderedBits(). */
+inline double
+fromOrderedBits(std::uint64_t key)
+{
+    constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+    const std::uint64_t bits = (key & kSign) != 0 ? key ^ kSign : ~key;
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+}
+
+/**
+ * Type-7 quantiles @p qs of @p n samples that are never stored: the
+ * samples are whatever @c forEach(visit) passes to @c visit(double),
+ * and every call must pass the same @p n values. Each result equals
+ * sortedQuantile() over the sorted samples bit for bit (a -0.0 and a
+ * +0.0 in one sample are the one exception: std::sort may leave them
+ * in either order, selection puts -0.0 first).
+ *
+ * This is SpAtten's top-k idea applied to the report: find the k-th
+ * element by selection rather than by sorting a copy. It is an exact
+ * radix select over orderedBits(). Each pass histograms one 13-bit
+ * digit of the samples whose higher digits match a wanted rank's
+ * prefix, so five passes over the samples pin both ranks of every
+ * quantile. The only storage is 2M + 1 histograms of 8192 32-bit
+ * counts (160 KiB for two quantiles), whatever @p n is: one per
+ * distinct prefix, and one for the samples that match none.
+ * Returns 0 for every quantile when @p n is 0.
+ */
+template <std::size_t M, class ForEach>
+std::array<double, M>
+selectQuantiles(std::size_t n, const std::array<double, M>& qs,
+                const ForEach& forEach)
+{
+    std::array<double, M> out{};
+    if (n == 0)
+        return out;
+    SPATTEN_ASSERT(n <= std::numeric_limits<std::uint32_t>::max(),
+                   "selectQuantiles: %zu samples overflow a 32-bit count",
+                   n);
+    constexpr int kDigitBits = 13;
+    constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+    constexpr std::size_t kRanks = 2 * M; // lo and hi of each quantile.
+    std::array<QuantileRanks, M> at;
+    std::array<std::size_t, kRanks> rank{}; // Among its prefix's samples.
+    std::array<std::uint64_t, kRanks> prefix{};
+    for (std::size_t m = 0; m < M; ++m) {
+        at[m] = quantileRanks(n, qs[m]);
+        rank[2 * m] = at[m].lo;
+        rank[2 * m + 1] = at[m].hi;
+    }
+    std::vector<std::uint32_t> hist((kRanks + 1) * kBuckets);
+    for (int top = 64; top > 0;) {
+        const int width = std::min(kDigitBits, top);
+        const int shift = top - width;
+        const std::uint64_t fixed =
+            top == 64 ? 0 : ~std::uint64_t{0} << top; // Digits above.
+        const std::uint64_t digit = (std::uint64_t{1} << width) - 1;
+        // Ranks whose digits so far agree share one histogram. An
+        // unused slot holds ~fixed, which no (key & fixed) equals.
+        std::array<std::uint64_t, kRanks> wanted;
+        wanted.fill(~fixed);
+        std::array<std::size_t, kRanks> group{};
+        std::size_t groups = 0;
+        for (std::size_t r = 0; r < kRanks; ++r) {
+            std::size_t g = 0;
+            while (g < groups && wanted[g] != prefix[r])
+                ++g;
+            if (g == groups)
+                wanted[groups++] = prefix[r];
+            group[r] = g;
+        }
+        std::fill(hist.begin(), hist.end(), 0);
+        // Branch-free: every sample bumps exactly one bucket, the last
+        // histogram's when it matches no prefix. The captures are
+        // copies, so the stores through h cannot alias them.
+        std::uint32_t* const h = hist.data();
+        forEach([h, fixed, shift, digit, wanted](double v) {
+            const std::uint64_t key = orderedBits(v);
+            const std::uint64_t d = (key >> shift) & digit;
+            std::size_t slot = kRanks * kBuckets + d;
+            for (std::size_t g = 0; g < kRanks; ++g)
+                slot = (key & fixed) == wanted[g] ? g * kBuckets + d : slot;
+            ++h[slot];
+        });
+        for (std::size_t r = 0; r < kRanks; ++r) {
+            const std::uint32_t* const counts = &hist[group[r] * kBuckets];
+            std::size_t b = 0;
+            for (; b <= digit && rank[r] >= counts[b]; ++b)
+                rank[r] -= counts[b];
+            SPATTEN_ASSERT(b <= digit,
+                           "selectQuantiles: forEach visited fewer than "
+                           "the %zu samples declared",
+                           n);
+            prefix[r] |= std::uint64_t{b} << shift;
+        }
+        top = shift;
+    }
+    for (std::size_t m = 0; m < M; ++m)
+        out[m] = at[m].interpolate(fromOrderedBits(prefix[2 * m]),
+                                   fromOrderedBits(prefix[2 * m + 1]));
+    return out;
+}
+
+/**
+ * Maximum number of half-open intervals [start, end) that overlap at
+ * any instant. An interval ending at t and one starting at t do not
+ * overlap, and an empty interval (end == start) never counts. Sorts
+ * @p intervals in place, then sweeps them in start order with a
+ * min-heap of the open intervals' ends, so the only extra storage is
+ * the heap, bounded by the answer. Requires start <= end throughout.
+ */
+std::size_t maxOverlap(std::vector<std::pair<double, double>>& intervals);
 
 } // namespace spatten
 

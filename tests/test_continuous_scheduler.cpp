@@ -3,14 +3,20 @@
 /// contract (thread-count and shard-count bit-identity), FIFO fairness,
 /// bounded queue delay, metric coherence, and the KV-capacity layer
 /// (KvPool accounting, admission control, preemption-and-recompute,
-/// priority / shortest-prompt-first queue policies).
+/// priority / shortest-prompt-first queue policies), and the report's
+/// percentiles and peak concurrency against a sort-and-sweep oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "accel/decode_session.hpp"
 #include "accel/spatten_accelerator.hpp"
+#include "baselines/baseline_backends.hpp"
 #include "serve/continuous_batch_scheduler.hpp"
 #include "serve/kv_pool.hpp"
 
@@ -910,7 +916,8 @@ TEST(ContinuousScheduler, SingleIdleRequestMatchesRunDecodeFacade)
     EXPECT_EQ(s.sim.cycles, direct.result.cycles);
     EXPECT_EQ(s.sim.seconds, direct.result.seconds);
     EXPECT_EQ(s.sim.energy.totalJ(), direct.result.energy.totalJ());
-    EXPECT_EQ(s.kv_trace, direct.kv_lengths);
+    EXPECT_EQ(std::vector<std::size_t>(s.kv_trace.begin(), s.kv_trace.end()),
+              direct.kv_lengths);
     EXPECT_EQ(s.admit_s, req.arrival_s);
     EXPECT_NEAR(s.first_token_s,
                 req.arrival_s + direct.prefill_seconds +
@@ -1161,6 +1168,151 @@ TEST(PrefixCaching, CacheOnRunIsBitIdenticalAcrossThreadCounts)
                       ref.requests[i].cached_prefix_tokens);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Report aggregates against the former sort-and-sweep oracle
+// ---------------------------------------------------------------------
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+/// The report's former aggregation: copy the samples, sort, then
+/// sortedQuantile.
+double
+sortedCopyQuantile(std::vector<double> samples, double q)
+{
+    std::sort(samples.begin(), samples.end());
+    return sortedQuantile(samples, q);
+}
+
+/// Every percentile of @p r equals the sorted-copy oracle's, bit for
+/// bit: the pooled ones and the per-request ITL p99 aggregates.
+void
+expectQuantilesMatchSortedCopy(const ServeReport& r)
+{
+    std::vector<double> ttfts, qdelays, itls, req_p99s;
+    for (const ServedRequest& req : r.requests) {
+        ttfts.push_back(req.ttftSeconds());
+        qdelays.push_back(req.queueDelaySeconds());
+        std::vector<double> own;
+        for (std::size_t i = 1; i < req.token_times_s.size(); ++i)
+            own.push_back(req.token_times_s[i] - req.token_times_s[i - 1]);
+        itls.insert(itls.end(), own.begin(), own.end());
+        if (req.tokens >= 2) {
+            const double p99 = sortedCopyQuantile(own, 0.99);
+            EXPECT_EQ(bitsOf(req.itlP99Seconds()), bitsOf(p99));
+            req_p99s.push_back(p99);
+        }
+    }
+    EXPECT_EQ(bitsOf(r.req_itl_p99_p50_s),
+              bitsOf(sortedCopyQuantile(req_p99s, 0.50)));
+    EXPECT_EQ(bitsOf(r.req_itl_p99_p99_s),
+              bitsOf(sortedCopyQuantile(req_p99s, 0.99)));
+    EXPECT_EQ(bitsOf(r.ttft_p50_s), bitsOf(sortedCopyQuantile(ttfts, 0.50)));
+    EXPECT_EQ(bitsOf(r.ttft_p99_s), bitsOf(sortedCopyQuantile(ttfts, 0.99)));
+    EXPECT_EQ(bitsOf(r.queue_delay_p50_s),
+              bitsOf(sortedCopyQuantile(qdelays, 0.50)));
+    EXPECT_EQ(bitsOf(r.queue_delay_p99_s),
+              bitsOf(sortedCopyQuantile(qdelays, 0.99)));
+    EXPECT_EQ(bitsOf(r.itl_p50_s), bitsOf(sortedCopyQuantile(itls, 0.50)));
+    EXPECT_EQ(bitsOf(r.itl_p99_s), bitsOf(sortedCopyQuantile(itls, 0.99)));
+}
+
+/// peak_concurrency by the former (time, +/-1) event sweep (ends
+/// before starts at equal times) over each request's final residency
+/// [admit_s, finish_s). Preempted incarnations leave no record, so
+/// this is every residency only when nothing was preempted.
+std::size_t
+finalResidencySweepPeak(const ServeReport& r)
+{
+    std::vector<std::pair<double, int>> events;
+    for (const ServedRequest& req : r.requests) {
+        events.emplace_back(req.admit_s, +1);
+        events.emplace_back(req.finish_s, -1);
+    }
+    std::sort(events.begin(), events.end());
+    std::ptrdiff_t depth = 0, peak = 0;
+    for (const auto& [time, delta] : events) {
+        depth += delta;
+        peak = std::max(peak, depth);
+    }
+    return static_cast<std::size_t>(peak);
+}
+
+TEST(ReportOracle, PreemptingTightBudgetHeterogeneousFleet)
+{
+    auto tc = tinyTraceConfig(24);
+    tc.mean_interarrival_s = 1e-6;
+    tc.policy = PruningPolicy::disabled();
+    tc.min_output = 16;
+    tc.max_output = 32;
+    const auto trace = generatePoissonTrace(tc);
+    ContinuousBatchConfig sc;
+    sc.max_active = 6;
+    sc.kv_block_tokens = 4;
+    sc.kv_capacity_bytes = kvBudgetForWorstRequest(trace, 1.5, sc, 2);
+    const AcceleratorFleet fleet{
+        std::make_shared<const SpAttenAccelerator>(SpAttenConfig::eighth()),
+        std::make_shared<const SpAttenAccelerator>(SpAttenConfig::eighth()),
+        std::make_shared<const A3Backend>()};
+    const ServeReport r = ContinuousBatchScheduler(fleet, sc).run(trace);
+    ASSERT_GE(r.preemptions, 1u);
+    expectQuantilesMatchSortedCopy(r);
+    // The evicted incarnations' residencies count too, and the records
+    // do not keep them: the former event sweep over all of them gave
+    // 7 on this trace (measured before the sweep became maxOverlap).
+    // The final residencies alone bound it from below.
+    EXPECT_EQ(r.peak_concurrency, 7u);
+    EXPECT_GE(r.peak_concurrency, finalResidencySweepPeak(r));
+}
+
+TEST(ReportOracle, ZeroAndOneTokenTrace)
+{
+    auto tc = tinyTraceConfig(32);
+    tc.min_output = 0;
+    tc.max_output = 1;
+    const auto trace = generatePoissonTrace(tc);
+    ContinuousBatchConfig sc;
+    sc.max_active = 4;
+    const ServeReport r = serve(trace, sc, /*accels=*/2);
+    ASSERT_EQ(r.preemptions, 0u);
+    std::size_t zero = 0, one = 0;
+    for (const ServedRequest& req : r.requests) {
+        zero += req.tokens == 0 ? 1 : 0;
+        one += req.tokens == 1 ? 1 : 0;
+    }
+    ASSERT_GT(zero, 0u);
+    ASSERT_GT(one, 0u);
+    // No request has two tokens, so there are no gaps to pool.
+    EXPECT_EQ(bitsOf(r.itl_p50_s), bitsOf(0.0));
+    EXPECT_EQ(bitsOf(r.itl_p99_s), bitsOf(0.0));
+    expectQuantilesMatchSortedCopy(r);
+    EXPECT_EQ(r.peak_concurrency, finalResidencySweepPeak(r));
+}
+
+TEST(ReportOracle, ChunkedPrefixCachedTrace)
+{
+    const auto trace = generateSharedPrefixTrace(tinySharedPrefixConfig(24));
+    ContinuousBatchConfig sc;
+    sc.max_active = 8;
+    sc.enable_prefix_caching = true;
+    sc.prefill_chunk_tokens = 32;
+    sc.iteration_token_budget = 48;
+    const ServeReport r = serve(trace, sc, /*accels=*/2);
+    ASSERT_EQ(r.preemptions, 0u);
+    ASSERT_GE(r.prefix_cache_hits, 1u);
+    std::size_t chunked = 0;
+    for (const ServedRequest& req : r.requests)
+        chunked += req.prefill_chunks > 1 ? 1 : 0;
+    ASSERT_GT(chunked, 0u);
+    expectQuantilesMatchSortedCopy(r);
+    EXPECT_EQ(r.peak_concurrency, finalResidencySweepPeak(r));
 }
 
 } // namespace

@@ -2,11 +2,18 @@
 /// registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/prng.hpp"
 #include "sim/clock.hpp"
 #include "sim/stats.hpp"
 
@@ -308,6 +315,168 @@ TEST(SortedQuantile, MonotoneInQ)
         const double cur = sortedQuantile(v, q);
         EXPECT_GE(cur, prev);
         prev = cur;
+    }
+}
+
+// ---------------------------------------------------------------------
+// selectQuantiles: exact selection, bit-identical to the sorted copy
+// ---------------------------------------------------------------------
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+constexpr std::array<double, 4> kSelectQs{0.0, 0.5, 0.99, 1.0};
+
+/// Selection over @p samples (never sorted) against sortedQuantile
+/// over a sorted copy, compared bit for bit at every q in kSelectQs.
+void
+expectSelectionMatchesSort(const std::vector<double>& samples,
+                           const char* what)
+{
+    const auto got = selectQuantiles(
+        samples.size(), kSelectQs, [&](const auto& visit) {
+            for (const double v : samples)
+                visit(v);
+        });
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t m = 0; m < kSelectQs.size(); ++m) {
+        const double want = sortedQuantile(sorted, kSelectQs[m]);
+        EXPECT_EQ(bitsOf(got[m]), bitsOf(want))
+            << what << " q=" << kSelectQs[m] << ": " << got[m] << " vs "
+            << want;
+    }
+}
+
+TEST(SelectQuantiles, EmptySampleYieldsZero)
+{
+    expectSelectionMatchesSort({}, "empty");
+    const auto got = selectQuantiles(0, kSelectQs, [](const auto&) {});
+    for (const double v : got)
+        EXPECT_EQ(bitsOf(v), bitsOf(0.0));
+}
+
+TEST(SelectQuantiles, SingletonAndAllEqual)
+{
+    expectSelectionMatchesSort({7.25}, "one element");
+    expectSelectionMatchesSort({-3.5}, "one negative element");
+    expectSelectionMatchesSort(std::vector<double>(257, 1e-4), "all equal");
+}
+
+TEST(SelectQuantiles, ManyTiesAndPositiveZero)
+{
+    // A staircase of a few distinct values, like the decode gaps of a
+    // memoized step: most ranks land inside a run of equal values.
+    Prng rng(0x7135);
+    std::vector<double> stairs;
+    for (int i = 0; i < 1000; ++i)
+        stairs.push_back(1e-4 * static_cast<double>(1 + rng.below(4)));
+    expectSelectionMatchesSort(stairs, "many ties");
+
+    // +0.0 is what t - t gives: a zero gap or an unqueued admission.
+    std::vector<double> zeros(50, 0.0);
+    for (int i = 0; i < 50; ++i)
+        zeros.push_back(rng.uniform(0.0, 1e-3));
+    expectSelectionMatchesSort(zeros, "half +0.0");
+    expectSelectionMatchesSort({0.0, 0.0, 0.0}, "all +0.0");
+}
+
+TEST(SelectQuantiles, RandomSamples)
+{
+    Prng rng(0x5e1ec7);
+    for (const std::size_t n : {2u, 3u, 10u, 64u, 101u, 4096u}) {
+        std::vector<double> wide, signed_mixed;
+        for (std::size_t i = 0; i < n; ++i) {
+            // Magnitudes over 30 decades, so the exponent digits as
+            // well as the mantissa digits decide the order.
+            wide.push_back(std::pow(10.0, rng.uniform(-15.0, 15.0)));
+            signed_mixed.push_back(rng.gaussian(0.0, 1e-3));
+        }
+        expectSelectionMatchesSort(wide, "log-uniform");
+        expectSelectionMatchesSort(signed_mixed, "signed gaussian");
+    }
+}
+
+TEST(SelectQuantiles, OrderedBitsPreserveOrderAndRoundTrip)
+{
+    const std::vector<double> ascending{
+        -std::numeric_limits<double>::infinity(),
+        -1e300,
+        -1.0,
+        -std::numeric_limits<double>::denorm_min(),
+        -0.0,
+        0.0,
+        std::numeric_limits<double>::denorm_min(),
+        1e-300,
+        1.0,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::infinity()};
+    for (std::size_t i = 0; i < ascending.size(); ++i) {
+        EXPECT_EQ(bitsOf(fromOrderedBits(orderedBits(ascending[i]))),
+                  bitsOf(ascending[i]));
+        if (i > 0) {
+            EXPECT_LT(orderedBits(ascending[i - 1]),
+                      orderedBits(ascending[i]));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// maxOverlap: the peak of half-open intervals
+// ---------------------------------------------------------------------
+
+/// The (time, +/-1) event sweep maxOverlap replaces: ends sort before
+/// starts at equal times.
+std::size_t
+eventSweepPeak(const std::vector<std::pair<double, double>>& intervals)
+{
+    std::vector<std::pair<double, int>> events;
+    for (const auto& [start, end] : intervals) {
+        events.emplace_back(start, +1);
+        events.emplace_back(end, -1);
+    }
+    std::sort(events.begin(), events.end());
+    std::ptrdiff_t depth = 0, peak = 0;
+    for (const auto& [time, delta] : events) {
+        depth += delta;
+        peak = std::max(peak, depth);
+    }
+    return static_cast<std::size_t>(peak);
+}
+
+TEST(MaxOverlap, HalfOpenIntervals)
+{
+    using Intervals = std::vector<std::pair<double, double>>;
+    Intervals none;
+    EXPECT_EQ(maxOverlap(none), 0u);
+    Intervals empty{{1.0, 1.0}, {1.0, 1.0}};
+    EXPECT_EQ(maxOverlap(empty), 0u);
+    Intervals touching{{1.0, 2.0}, {0.0, 1.0}, {2.0, 3.0}};
+    EXPECT_EQ(maxOverlap(touching), 1u);
+    Intervals nested{{0.0, 10.0}, {1.0, 2.0}, {1.5, 3.0}, {2.0, 2.0}};
+    EXPECT_EQ(maxOverlap(nested), 3u);
+}
+
+TEST(MaxOverlap, MatchesEventSweep)
+{
+    // Integer times make ties common: equal starts, equal ends, an end
+    // meeting a start, and zero-length intervals.
+    Prng rng(0x0de7);
+    for (int round = 0; round < 200; ++round) {
+        std::vector<std::pair<double, double>> intervals;
+        const std::uint64_t n = rng.below(40);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const auto start = static_cast<double>(rng.below(20));
+            const auto len = static_cast<double>(rng.below(6));
+            intervals.emplace_back(start, start + len);
+        }
+        const std::size_t want = eventSweepPeak(intervals);
+        EXPECT_EQ(maxOverlap(intervals), want) << "round " << round;
     }
 }
 
