@@ -847,8 +847,9 @@ class RunState
                            "%zu",
                            req.id, req.prompt_tokens.size(),
                            w.summarize_len);
+            req.prompt_tokens.copyTo(prompt_ids_);
             const KvPool::PrefixReservation pr =
-                accel.pool.tryReservePrefix(idx, w.model, req.prompt_tokens);
+                accel.pool.tryReservePrefix(idx, w.model, prompt_ids_);
             reserved = pr.ok;
             if (pr.ok && pr.cached_tokens > 0) {
                 // The last prompt token is always recomputed (vLLM
@@ -1008,6 +1009,10 @@ class RunState
     /// keeps the time.
     double wasted_cycles_ = 0, wasted_energy_j_ = 0, wasted_flops_ = 0;
     double wasted_dram_bytes_ = 0;
+    /// The prompt ids of the request being admitted: its PromptTokens
+    /// view computed into one vector the pool's prefix lookup reads,
+    /// reused across admissions.
+    std::vector<std::uint64_t> prompt_ids_;
 
     // ---- One iteration's plan, reused across iterations ----
     std::vector<StepJob> jobs_;

@@ -144,8 +144,8 @@ class KvPool
      * blocks are charged against the budget. A hash collision (same
      * chain hash, different stored tokens) is treated as a miss: the
      * block falls back to a private allocation. @p prompt_tokens is
-     * only read during the call, so a vector or a trace's PromptTokens
-     * view passes without a copy.
+     * only read during the call, so a caller may pass a scratch vector
+     * it reuses (the scheduler copies each PromptTokens view into one).
      */
     PrefixReservation tryReservePrefix(std::size_t id,
                                        const ModelSpec& model,

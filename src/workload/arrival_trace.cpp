@@ -177,21 +177,6 @@ generateDiurnalTrace(const DiurnalTraceConfig& cfg)
     return trace;
 }
 
-namespace {
-
-/** Append @p n tokens of the content stream @p stream_seed
- *  (common/prng.hpp's mix64 keeps the ids golden-stable). */
-void
-appendTokens(std::vector<std::uint64_t>& out, std::uint64_t stream_seed,
-             std::size_t n)
-{
-    const std::size_t base = out.size();
-    for (std::size_t j = 0; j < n; ++j)
-        out.push_back(mix64(stream_seed ^ (base + j)));
-}
-
-} // namespace
-
 std::vector<TracedRequest>
 generateSharedPrefixTrace(const SharedPrefixTraceConfig& cfg)
 {
@@ -216,12 +201,14 @@ generateSharedPrefixTrace(const SharedPrefixTraceConfig& cfg)
     Prng content(mix64(cfg.base.seed ^ 0x70726566697865ULL)); // "prefixe"
 
     // Pass 1 — structure. Every draw depends only on lengths, so the
-    // conversations, their system prompts and every prompt length are
-    // fixed before any token exists. conversations[c] is the latest
-    // request of conversation c, open or retired: its prompt plus its
-    // regenerated reply is the re-sendable context.
+    // conversations, their system prompts, every prompt length and each
+    // conversation's run count are fixed before any run exists.
+    // conversations[c] is the latest request of conversation c, open or
+    // retired: its prompt plus its regenerated reply is the re-sendable
+    // context.
     std::vector<std::size_t> conversations;
     std::vector<std::size_t> system_prompt; // Per conversation.
+    std::vector<std::size_t> run_count;     // Per conversation.
     std::vector<std::size_t> conversation(trace.size()); // Per request.
     for (std::size_t i = 0; i < trace.size(); ++i) {
         TracedRequest& req = trace[i];
@@ -241,6 +228,8 @@ generateSharedPrefixTrace(const SharedPrefixTraceConfig& cfg)
                 context = resent;
                 conversation[i] = pick;
                 conversations[pick] = i;
+                // The reply (none when it is empty) and the user turn.
+                run_count[pick] += prev.workload.generate_len > 0 ? 2 : 1;
             }
         }
         if (context == 0) {
@@ -248,39 +237,42 @@ generateSharedPrefixTrace(const SharedPrefixTraceConfig& cfg)
             conversation[i] = conversations.size();
             system_prompt.push_back(content.below(cfg.num_system_prompts));
             conversations.push_back(i);
+            run_count.push_back(2); // System prompt and user turn.
         }
         req.workload.summarize_len = context + turn;
         req.workload.name = requestName("prefix", i, context + turn,
                                         req.workload.generate_len);
     }
 
-    // Pass 2 — content, in request order. Each conversation's buffer is
-    // sized once to its final (latest) prompt; a turn appends the
-    // system prompt (opener) or its predecessor's synthetic reply, then
-    // its fresh user turn, and views the buffer's prefix so far.
-    std::vector<std::shared_ptr<PromptTokens::Buffer>> buffers(
+    // Pass 2 — content, in request order. Each conversation's run list
+    // is sized once to its final (latest) prompt's run count; a turn
+    // pushes the system prompt (opener) or its predecessor's synthetic
+    // reply, then its fresh user turn, and views the runs so far. A
+    // run's token at absolute position p is mix64(seed ^ p).
+    std::vector<std::shared_ptr<PromptTokens::Runs>> runs(
         conversations.size());
     std::vector<std::size_t> tail(conversations.size()); // Latest seen.
     for (std::size_t i = 0; i < trace.size(); ++i) {
         TracedRequest& req = trace[i];
         const std::size_t c = conversation[i];
-        std::shared_ptr<PromptTokens::Buffer>& buf = buffers[c];
-        if (!buf) {
-            buf = std::make_shared<PromptTokens::Buffer>();
-            buf->reserve(trace[conversations[c]].workload.summarize_len);
-            appendTokens(*buf,
-                         mix64(cfg.base.seed ^ (0x5953ULL + system_prompt[c])),
-                         cfg.system_prompt_tokens);
+        std::shared_ptr<PromptTokens::Runs>& list = runs[c];
+        std::size_t context = cfg.system_prompt_tokens;
+        if (!list) {
+            list = std::make_shared<PromptTokens::Runs>();
+            list->reserve(run_count[c]);
+            list->push_back(
+                {0, mix64(cfg.base.seed ^ (0x5953ULL + system_prompt[c]))});
         } else {
             const TracedRequest& last = trace[tail[c]];
-            appendTokens(*buf, mix64(last.seed ^ 0x7265706cULL),
-                         last.workload.generate_len);
+            context = last.workload.summarize_len + last.workload.generate_len;
+            if (last.workload.generate_len > 0)
+                list->push_back({last.workload.summarize_len,
+                                 mix64(last.seed ^ 0x7265706cULL)});
         }
         tail[c] = i;
         // Fresh user turn: content unique to this request.
-        appendTokens(*buf, mix64(req.seed ^ 0x7475726eULL),
-                     req.workload.summarize_len - buf->size());
-        req.prompt_tokens = PromptTokens(buf, buf->size());
+        list->push_back({context, mix64(req.seed ^ 0x7475726eULL)});
+        req.prompt_tokens = PromptTokens(list, req.workload.summarize_len);
     }
     return trace;
 }

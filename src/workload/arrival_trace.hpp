@@ -43,7 +43,7 @@ struct TracedRequest
     /// layer's shared-prefix cache can never match it. Filled by
     /// generateSharedPrefixTrace so requests sharing a system prompt
     /// or conversation history share a literal token prefix; every
-    /// turn of one conversation views the same stored buffer.
+    /// turn of one conversation views the same stored run list.
     PromptTokens prompt_tokens;
 };
 
@@ -186,9 +186,12 @@ std::vector<TracedRequest> generateDiurnalTrace(
  * sees the same demand shape), then a *separate* content PRNG stream
  * (derived from base.seed) composes each prompt: system prompt or
  * re-sent conversation history, plus fresh user-turn tokens. Every
- * request carries its full prompt token ids as a view into its
- * conversation's one exact-size buffer; workload.summarize_len is
- * overridden to match. Deterministic: the same config yields a
+ * request carries its full prompt as a PromptTokens view of its
+ * conversation's one exact-size list of (start, seed) runs — system
+ * prompt, then per turn its user turn and (if non-empty) its reply —
+ * so a conversation costs 16 B per run, not 8 B per token; ids are
+ * computed when read. workload.summarize_len is overridden to match
+ * the view's size. Deterministic: the same config yields a
  * bit-identical trace.
  */
 std::vector<TracedRequest> generateSharedPrefixTrace(

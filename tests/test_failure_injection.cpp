@@ -10,6 +10,7 @@
 #include "accel/spatten_accelerator.hpp"
 #include "accel/topk_engine.hpp"
 #include "baselines/baseline_backends.hpp"
+#include "common/tokens.hpp"
 #include "core/attention_ref.hpp"
 #include "core/schedule.hpp"
 #include "hbm/hbm.hpp"
@@ -174,6 +175,20 @@ TEST(FailureInjection, ForeignSessionInSpAttenDecodeBatch)
     std::vector<double> seconds;
     EXPECT_DEATH(spatten.stepDecodeBatch(lanes, seconds),
                  "not a SpAtten session");
+}
+
+TEST(FailureInjection, PromptViewReadsOutsideItself)
+{
+    const PromptTokens empty;
+    EXPECT_DEATH(empty.front(), "front\\(\\) of an empty prompt view");
+    EXPECT_DEATH(empty.back(), "back\\(\\) of an empty prompt view");
+    EXPECT_DEATH(empty.at(0), "token 0 of a 0-token prompt view");
+    // A 4-token view of a conversation that goes on: position 4 exists
+    // in the runs but not in the view.
+    const PromptTokens view(std::make_shared<const PromptTokens::Runs>(
+                                PromptTokens::Runs{{0, 1}, {4, 2}}),
+                            4);
+    EXPECT_DEATH(view.at(4), "token 4 of a 4-token prompt view");
 }
 
 } // namespace

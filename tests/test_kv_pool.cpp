@@ -81,22 +81,33 @@ TEST(KvPoolPrefix, SharedBlocksChargedOnceAndRefCounted)
 
 TEST(KvPoolPrefix, SharedBufferViewMatchesVector)
 {
-    // A trace hands the pool a view of the first n tokens of a longer
-    // conversation buffer. It must reserve, hit and cache exactly what
-    // a vector of those n tokens does, and never read past n: a view of
-    // 40 tokens caches 2 complete blocks, not the buffer's third.
+    // A trace hands the scheduler a view of the first n tokens of a
+    // longer conversation's runs, and admission copies it into one
+    // scratch vector reused across requests. The pool must reserve, hit
+    // and cache exactly what a vector of those n ids does, and the view
+    // must never read past n: a view of 40 tokens caches 2 complete
+    // blocks, not the conversation's third.
     const ModelSpec m = tinyModel();
-    const auto conversation =
-        std::make_shared<const std::vector<std::uint64_t>>(prompt(7, 112));
+    const auto conversation = std::make_shared<const PromptTokens::Runs>(
+        PromptTokens::Runs{{0, 7}, {24, 8}, {40, 9}, {72, 10}});
+    std::vector<std::uint64_t> ids; // Token p of run r is mix64(seed ^ p).
+    for (std::size_t p = 0, r = 0; p < 112; ++p) {
+        if (r + 1 < conversation->size() && (*conversation)[r + 1].start == p)
+            ++r;
+        ids.push_back(mix64((*conversation)[r].seed ^ p));
+    }
     KvPool by_vector({10 * kBlockBytes, 16});
     KvPool by_view({10 * kBlockBytes, 16});
     const std::size_t lens[] = {40, 32, 72, 112, 48};
+    std::vector<std::uint64_t> scratch(128, 0); // Longer stale content.
     std::size_t hits = 0;
     for (std::size_t id = 0; id < std::size(lens); ++id) {
-        const PromptTokens view(conversation, lens[id]);
-        const std::vector<std::uint64_t> copy(view.begin(), view.end());
+        const std::vector<std::uint64_t> copy(
+            ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(lens[id]));
+        PromptTokens(conversation, lens[id]).copyTo(scratch);
+        ASSERT_EQ(scratch, copy) << "prompt " << id;
         const auto a = by_vector.tryReservePrefix(id, m, copy);
-        const auto b = by_view.tryReservePrefix(id, m, view);
+        const auto b = by_view.tryReservePrefix(id, m, scratch);
         ASSERT_TRUE(a.ok && b.ok) << "prompt " << id;
         EXPECT_EQ(a.cached_tokens, b.cached_tokens) << "prompt " << id;
         EXPECT_EQ(a.shared_bytes, b.shared_bytes) << "prompt " << id;

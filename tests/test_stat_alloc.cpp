@@ -9,6 +9,9 @@
 /// hold: the live-byte high-water mark of a scheduler run may rise only
 /// a little above what the returned report keeps.
 ///
+/// A shared-prefix trace keeps its prompt content as (start, seed)
+/// runs, so what it retains per request does not grow with the prompts.
+///
 /// The binary replaces the global operator new with a counting one, so
 /// it lives alone rather than in a shared test executable.
 #include <gtest/gtest.h>
@@ -26,6 +29,7 @@
 #include "accel/spatten_accelerator.hpp"
 #include "serve/accelerator_backend.hpp"
 #include "serve/continuous_batch_scheduler.hpp"
+#include "workload/arrival_trace.hpp"
 
 namespace {
 
@@ -294,6 +298,43 @@ TEST(ServeAlloc, RunHighWaterStaysFarBelowAPooledGapCopy)
         << "run() peaked " << (peak - after) << " B above the "
         << (after - before) << " B its report keeps; a copy of the "
         << gaps << " pooled gaps is " << gap_copy << " B";
+}
+
+/// Live bytes @p trace keeps for its prompt content: what clearing
+/// every request's view gives back.
+std::size_t
+promptContentBytes(std::vector<TracedRequest>& trace)
+{
+    const std::size_t with = g_live.load();
+    for (TracedRequest& r : trace)
+        r.prompt_tokens = PromptTokens();
+    return with - g_live.load();
+}
+
+// A prefix-tiered-shaped trace (8 system prompts of 192 tokens, half
+// the requests follow up) keeps a few 16-byte runs per request for its
+// prompts, whatever the prompt cap; a token id per stored position
+// cost ~1.2 KB per request at the default cap, and more as it grows.
+TEST(TraceAlloc, PromptContentCostsRunsNotTokens)
+{
+    for (const std::size_t cap : {std::size_t{768}, std::size_t{4096}}) {
+        SharedPrefixTraceConfig sp;
+        sp.base.num_requests = 4096;
+        sp.base.min_output = 16;
+        sp.base.max_output = 32;
+        sp.num_system_prompts = 8;
+        sp.system_prompt_tokens = 192;
+        sp.followup_prob = 0.5;
+        sp.max_prompt_tokens = cap;
+        auto trace = generateSharedPrefixTrace(sp);
+        std::size_t tokens = 0;
+        for (const TracedRequest& r : trace)
+            tokens += r.prompt_tokens.size();
+        const std::size_t bytes = promptContentBytes(trace);
+        EXPECT_LE(bytes, 64 * trace.size())
+            << "cap " << cap << ": " << bytes << " B kept for "
+            << trace.size() << " requests of " << tokens << " tokens";
+    }
 }
 
 } // namespace

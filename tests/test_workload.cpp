@@ -487,70 +487,152 @@ TEST(SharedPrefixTrace, FollowupsReuseConversationHistory)
 static_assert(sizeof(PromptTokens) == sizeof(std::vector<std::uint64_t>),
               "PromptTokens must not grow TracedRequest");
 
+/// The ids of stream @p seed at absolute positions [from, to), appended
+/// to @p out: the token at position p is mix64(seed ^ p).
+void
+appendStream(std::vector<std::uint64_t>& out, std::uint64_t seed,
+             std::size_t from, std::size_t to)
+{
+    for (std::size_t p = from; p < to; ++p)
+        out.push_back(mix64(seed ^ p));
+}
+
 TEST(SharedPrefixTrace, ConversationTurnsShareOneBuffer)
 {
-    const auto sp = sharedPrefixConfig(256);
-    TracedRequest survivor;
-    std::size_t survivor_idx = 0;
-    {
-        const auto trace = generateSharedPrefixTrace(sp);
-        // Conversations from content alone: a turn's predecessor is the
-        // longest earlier prompt it strictly extends (user turns are
-        // unique per request, so only a conversation's own history is a
-        // strict prefix of its prompt).
-        const std::size_t none = trace.size();
-        std::vector<std::size_t> pred(trace.size(), none);
-        std::vector<bool> extended(trace.size(), false);
-        std::set<const PromptTokens::Buffer*> seen;
-        std::size_t followups = 0;
-        for (std::size_t i = 0; i < trace.size(); ++i) {
-            const auto& p = trace[i].prompt_tokens;
-            for (std::size_t j = 0; j < i; ++j) {
-                const auto& q = trace[j].prompt_tokens;
-                if (q.size() < p.size() &&
-                    std::equal(q.begin(), q.end(), p.begin()) &&
-                    (pred[i] == none ||
-                     q.size() > trace[pred[i]].prompt_tokens.size()))
-                    pred[i] = j;
-            }
-            const PromptTokens::Buffer* buf = p.buffer().get();
-            ASSERT_NE(buf, nullptr);
-            if (pred[i] == none) {
-                EXPECT_TRUE(seen.insert(buf).second)
-                    << "request " << i
-                    << " opens a conversation on another's buffer";
-            } else {
-                ++followups;
-                extended[pred[i]] = true;
-                EXPECT_EQ(p.data(), trace[pred[i]].prompt_tokens.data())
-                    << "follow-up " << i << " copied its history";
-            }
-        }
-        EXPECT_GE(followups, trace.size() / 4);
+    // The default shape, and one with zero-token replies (min_output =
+    // 0): a turn after an empty reply pushes no reply run, so its user
+    // turn starts where its predecessor's view ends.
+    auto zero_replies = sharedPrefixConfig(256, 0x2e20);
+    zero_replies.base.min_output = 0;
+    zero_replies.base.max_output = 2;
+    for (const SharedPrefixTraceConfig& sp :
+         {sharedPrefixConfig(256), zero_replies}) {
+        SCOPED_TRACE(sp.base.min_output);
+        TracedRequest survivor;
+        std::size_t survivor_idx = 0;
+        {
+            const auto trace = generateSharedPrefixTrace(sp);
+            // Conversations from content alone: a turn's predecessor is
+            // the longest earlier prompt it strictly extends (user turns
+            // are unique per request, so only a conversation's own
+            // history is a strict prefix of its prompt).
+            const std::size_t none = trace.size();
+            std::vector<std::size_t> pred(trace.size(), none);
+            std::vector<bool> extended(trace.size(), false);
+            std::set<const PromptTokens::Runs*> seen;
+            std::size_t followups = 0, zero_reply_followups = 0;
+            // Reference ids from the content streams: an opener is a
+            // system prompt then its user turn; a follow-up re-sends its
+            // predecessor's prompt and reply, then its user turn.
+            std::vector<std::vector<std::uint64_t>> ref(trace.size());
+            for (std::size_t i = 0; i < trace.size(); ++i) {
+                const TracedRequest& req = trace[i];
+                const auto& p = req.prompt_tokens;
+                for (std::size_t j = 0; j < i; ++j) {
+                    const auto& q = trace[j].prompt_tokens;
+                    if (q.size() < p.size() &&
+                        std::equal(q.begin(), q.end(), p.begin()) &&
+                        (pred[i] == none ||
+                         q.size() > trace[pred[i]].prompt_tokens.size()))
+                        pred[i] = j;
+                }
+                const PromptTokens::Runs* runs = p.runs().get();
+                ASSERT_NE(runs, nullptr);
+                std::size_t turn_start = sp.system_prompt_tokens;
+                if (pred[i] == none) {
+                    EXPECT_TRUE(seen.insert(runs).second)
+                        << "request " << i
+                        << " opens a conversation on another's runs";
+                    std::size_t k = 0;
+                    while (k < sp.num_system_prompts &&
+                           p.front() !=
+                               mix64(mix64(sp.base.seed ^ (0x5953ULL + k))))
+                        ++k;
+                    ASSERT_LT(k, sp.num_system_prompts) << "request " << i;
+                    appendStream(ref[i],
+                                 mix64(sp.base.seed ^ (0x5953ULL + k)), 0,
+                                 turn_start);
+                } else {
+                    const TracedRequest& prev = trace[pred[i]];
+                    ++followups;
+                    extended[pred[i]] = true;
+                    EXPECT_EQ(runs, prev.prompt_tokens.runs().get())
+                        << "follow-up " << i << " copied its history";
+                    zero_reply_followups +=
+                        prev.workload.generate_len == 0 ? 1 : 0;
+                    ref[i] = ref[pred[i]];
+                    turn_start = prev.workload.summarize_len +
+                                 prev.workload.generate_len;
+                    appendStream(ref[i], mix64(prev.seed ^ 0x7265706cULL),
+                                 prev.workload.summarize_len, turn_start);
+                }
+                appendStream(ref[i], mix64(req.seed ^ 0x7475726eULL),
+                             turn_start, req.workload.summarize_len);
 
-        // Stored tokens: each conversation once, at its final (last
-        // turn's) length, with no growth slack.
-        std::size_t final_tokens = 0;
-        for (std::size_t i = 0; i < trace.size(); ++i)
-            if (!extended[i])
-                final_tokens += trace[i].prompt_tokens.size();
-        std::size_t stored = 0;
-        for (const PromptTokens::Buffer* buf : seen) {
-            EXPECT_EQ(buf->capacity(), buf->size());
-            stored += buf->capacity();
-        }
-        EXPECT_EQ(stored, final_tokens);
+                // Every read path equals the reference at every position.
+                ASSERT_EQ(p.size(), ref[i].size());
+                EXPECT_TRUE(std::equal(p.begin(), p.end(), ref[i].begin()))
+                    << "iteration, request " << i;
+                for (std::size_t pos = 0; pos < p.size(); ++pos)
+                    ASSERT_EQ(p.at(pos), ref[i][pos])
+                        << "request " << i << " position " << pos;
+                EXPECT_EQ(p.front(), ref[i].front());
+                EXPECT_EQ(p.back(), ref[i].back());
+                std::vector<std::uint64_t> ids;
+                p.copyTo(ids);
+                EXPECT_EQ(ids, ref[i]) << "copyTo, request " << i;
+            }
+            EXPECT_GE(followups, trace.size() / 4);
+            if (sp.base.min_output == 0) {
+                EXPECT_GE(zero_reply_followups, 4u)
+                    << "the zero-reply case must actually occur";
+            }
 
-        // Keep a mid-conversation turn past the trace's lifetime.
-        survivor_idx = trace.size() / 2;
-        while (pred[survivor_idx] == none)
-            ++survivor_idx;
-        survivor = trace[survivor_idx];
+            // Stored runs: each conversation once, sized exactly to its
+            // final (last) turn, with no slack and no empty run; every
+            // shorter view of it ends exactly on a run boundary and
+            // reads only its own prefix.
+            std::size_t boundary_views = 0;
+            for (std::size_t i = 0; i < trace.size(); ++i) {
+                if (extended[i])
+                    continue;
+                const PromptTokens& last = trace[i].prompt_tokens;
+                const PromptTokens::Runs& runs = *last.runs();
+                EXPECT_EQ(runs.capacity(), runs.size());
+                ASSERT_EQ(runs.front().start, 0u);
+                for (std::size_t r = 1; r < runs.size(); ++r) {
+                    ASSERT_LT(runs[r - 1].start, runs[r].start)
+                        << "empty run in request " << i << "'s history";
+                    const PromptTokens view(last.runs(), runs[r].start);
+                    std::vector<std::uint64_t> ids;
+                    view.copyTo(ids);
+                    const std::vector<std::uint64_t> want(
+                        ref[i].begin(),
+                        ref[i].begin() +
+                            static_cast<std::ptrdiff_t>(runs[r].start));
+                    EXPECT_EQ(ids, want) << "request " << i << " run " << r;
+                    EXPECT_TRUE(std::equal(view.begin(), view.end(),
+                                           want.begin()));
+                    EXPECT_EQ(view.back(), want.back());
+                    ++boundary_views;
+                }
+                EXPECT_LT(runs.back().start, last.size());
+            }
+            EXPECT_GE(boundary_views, followups)
+                << "every re-sent turn ends on a run boundary";
+
+            // Keep a mid-conversation turn past the trace's lifetime.
+            survivor_idx = trace.size() / 2;
+            while (pred[survivor_idx] == none)
+                ++survivor_idx;
+            survivor = trace[survivor_idx];
+        }
+        // The copy co-owns its runs: its tokens outlive the trace.
+        const auto again = generateSharedPrefixTrace(sp);
+        EXPECT_EQ(survivor.prompt_tokens, again[survivor_idx].prompt_tokens);
+        EXPECT_EQ(survivor.prompt_tokens.size(),
+                  survivor.workload.summarize_len);
     }
-    // The copy co-owns its buffer: its tokens outlive the trace.
-    const auto again = generateSharedPrefixTrace(sp);
-    EXPECT_EQ(survivor.prompt_tokens, again[survivor_idx].prompt_tokens);
-    EXPECT_EQ(survivor.prompt_tokens.size(), survivor.workload.summarize_len);
 }
 
 /// 64-bit digest of every field a trace generator fills: id, arrival
