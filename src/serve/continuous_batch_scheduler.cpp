@@ -11,6 +11,7 @@
 #include <memory>
 #include <numeric>
 #include <thread>
+#include <unordered_set>
 
 #include "common/logging.hpp"
 #include "serve/accelerator_backend.hpp"
@@ -20,6 +21,22 @@ namespace spatten {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** Hashes and compares stat sets by (layout, value bits). */
+struct StatValueHash
+{
+    std::size_t operator()(const StatSet& s) const
+    {
+        return s.valueHash();
+    }
+};
+struct StatValueEqual
+{
+    bool operator()(const StatSet& a, const StatSet& b) const
+    {
+        return a.sameValues(b);
+    }
+};
 
 /** One in-flight request on one accelerator. */
 struct ActiveSession
@@ -972,8 +989,23 @@ class RunState
                            m.idx, len);
         r.kv_trace.assign(kv.begin(), kv.end());
         r.sim = m.session->finalize();
+        shareStats(r.sim.stats);
         retire(accel, m, t);
         ++finished_;
+    }
+
+    /// Points a finished record's @p stats at the block of an earlier
+    /// record with bit-equal values (its fresh block is freed here), or
+    /// registers its block for the records after it. A session is a
+    /// pure function of its shape, so a report keeps one block per
+    /// distinct result rather than one per request.
+    void shareStats(StatSet& stats)
+    {
+        if (stats.all().size() == 0)
+            return;
+        const auto [it, fresh] = stat_blocks_.insert(stats);
+        if (!fresh)
+            stats = *it;
     }
 
     const AcceleratorFleet& fleet_;
@@ -1013,6 +1045,10 @@ class RunState
     /// view computed into one vector the pool's prefix lookup reads,
     /// reused across admissions.
     std::vector<std::uint64_t> prompt_ids_;
+    /// One entry per distinct finished stat block (see shareStats());
+    /// lives for the run only, so nothing but the records' own blocks
+    /// outlives the report.
+    std::unordered_set<StatSet, StatValueHash, StatValueEqual> stat_blocks_;
 
     // ---- One iteration's plan, reused across iterations ----
     std::vector<StepJob> jobs_;

@@ -250,8 +250,10 @@ KvPool::tryReservePrefix(std::size_t id, const ModelSpec& model,
     const std::size_t total = blocksFor(n);
 
     // ---- Walk the chain: longest cached block prefix ----
-    std::vector<std::uint64_t> hashes(complete);
-    std::vector<std::uint32_t> shared;
+    std::vector<std::uint64_t>& hashes = walk_hashes_;
+    std::vector<std::uint32_t>& shared = walk_shared_;
+    hashes.resize(complete);
+    shared.clear();
     std::uint64_t h = 0;
     std::size_t matched = 0;
     bool chain_alive = true;
@@ -342,7 +344,8 @@ KvPool::tryReservePrefix(std::size_t id, const ModelSpec& model,
     Reservation res;
     res.tokens = n;
     res.block_bytes = bb;
-    res.prefix_blocks = std::move(shared);
+    res.prefix_blocks.reserve(complete);
+    res.prefix_blocks.assign(shared.begin(), shared.end());
     bool registering = true;
     for (std::size_t i = matched; i < complete; ++i) {
         if (registering && prefix_index_.count(hashes[i]) != 0)

@@ -281,6 +281,11 @@ class KvPool
                                        ///< cold_tick across demotion,
                                        ///< so the eviction order stays
                                        ///< the global release order.
+    /// tryReservePrefix()'s chain walk: each complete prompt block's
+    /// chain hash and the matched cached block ids. Cleared and reused
+    /// across calls, so a walk allocates only while they grow.
+    std::vector<std::uint64_t> walk_hashes_;
+    std::vector<std::uint32_t> walk_shared_;
     std::uint64_t used_bytes_ = 0;
     std::uint64_t peak_bytes_ = 0;
     std::uint64_t cold_bytes_ = 0;

@@ -5,6 +5,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <new>
 #include <queue>
 #include <set>
 #include <unordered_map>
@@ -175,10 +176,57 @@ StatName::StatName(std::string_view name) : name_(intern(name)) {}
 
 const StatSet::Layout StatSet::kEmptyLayout;
 
+void
+StatSet::release() noexcept
+{
+    // acq_rel: the last owner's free happens after every other owner's
+    // reads of the block.
+    if (block_ != nullptr &&
+        block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        ::operator delete(block_);
+    block_ = nullptr;
+}
+
+double*
+StatSet::own(std::size_t capacity)
+{
+    const std::size_t n = size();
+    // acquire: a count of 1 means every former co-owner has released
+    // the block, and their reads happen before this set's writes.
+    if (block_ != nullptr && capacity <= block_->capacity &&
+        block_->refs.load(std::memory_order_acquire) == 1)
+        return block_->values();
+    const std::size_t cap = std::max(capacity, n);
+    if (cap == 0) {
+        release();
+        return nullptr;
+    }
+    SPATTEN_ASSERT(cap <= std::numeric_limits<std::uint32_t>::max(),
+                   "stat block of %zu values overflows its 32-bit capacity",
+                   cap);
+    void* mem = ::operator new(sizeof(Block) + cap * sizeof(double));
+    Block* fresh = new (mem) Block{{1}, static_cast<std::uint32_t>(cap)};
+    if (n != 0)
+        std::memcpy(fresh->values(), block_->values(), n * sizeof(double));
+    release();
+    block_ = fresh;
+    return fresh->values();
+}
+
+// With no values left to keep, own() leaves a block this set holds
+// alone in place (its room stays, like a cleared vector's) and drops a
+// shared one to its other owners.
+void
+StatSet::clear()
+{
+    layout_ = &kEmptyLayout;
+    own(0);
+}
+
 std::size_t
 StatSet::indexOf(std::string_view name) const
 {
-    const std::size_t n = values_.size();
+    const std::size_t n = size();
     const std::size_t i = lowerBound(layout_->keys.data(), n, name);
     return i < n && *layout_->keys[i].name == name ? i : npos;
 }
@@ -186,15 +234,22 @@ StatSet::indexOf(std::string_view name) const
 double&
 StatSet::slot(const std::string* name, bool gauge, std::size_t at)
 {
+    const std::size_t n = size();
     if (at != npos && layout_->keys[at].gauge == gauge)
-        return values_[at];
+        return own(n)[at];
     const Successor next = successor(layout_, name, gauge);
+    if (at != npos) { // A kind change keeps the key's index.
+        layout_ = next.layout;
+        return own(n)[next.index];
+    }
+    // A new key: grow like a vector (doubling) when out of room.
+    const std::size_t room = block_ != nullptr ? block_->capacity : 0;
+    double* const v = own(n < room ? n + 1 : std::max(n + 1, 2 * n));
+    std::memmove(v + next.index + 1, v + next.index,
+                 (n - next.index) * sizeof(double));
+    v[next.index] = 0.0;
     layout_ = next.layout;
-    if (at == npos)
-        values_.insert(values_.begin() +
-                           static_cast<std::ptrdiff_t>(next.index),
-                       0.0);
-    return values_[next.index];
+    return v[next.index];
 }
 
 double&
@@ -241,7 +296,7 @@ double
 StatSet::get(const std::string& name) const
 {
     const std::size_t i = indexOf(name);
-    return i == npos ? 0.0 : values_[i];
+    return i == npos ? 0.0 : values()[i];
 }
 
 bool
@@ -261,15 +316,38 @@ void
 StatSet::merge(const StatSet& other)
 {
     // Self-merge is safe: every key is already present with its kind,
-    // so slot() never moves the layout or the values.
+    // so slot() never moves the layout, and once slot() has made the
+    // block this set's own, other (this set) reads that same block.
+    // Another set sharing the block keeps reading its original.
     const auto& ok = other.layout_->keys;
-    for (std::size_t j = 0; j < other.values_.size(); ++j) {
+    for (std::size_t j = 0; j < ok.size(); ++j) {
         double& v = slot(ok[j].name, ok[j].gauge, indexOf(*ok[j].name));
         if (ok[j].gauge)
-            v = other.values_[j];
+            v = other.values()[j];
         else
-            v += other.values_[j]; // Also reclassifies a stale gauge mark.
+            v += other.values()[j]; // Also reclassifies a stale gauge mark.
     }
+}
+
+bool
+StatSet::sameValues(const StatSet& o) const
+{
+    return layout_ == o.layout_ &&
+           (size() == 0 || block_ == o.block_ ||
+            std::memcmp(values(), o.values(), size() * sizeof(double)) == 0);
+}
+
+std::uint64_t
+StatSet::valueHash() const
+{
+    std::uint64_t h = mix64(std::hash<const void*>()(layout_));
+    const double* const v = values();
+    for (std::size_t i = 0; i < size(); ++i) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v[i], sizeof bits);
+        h = mix64(h ^ bits);
+    }
+    return h;
 }
 
 std::string

@@ -4,12 +4,23 @@
  * counters (DRAM reads, row activations, top-k iterations, ...) to the
  * benchmark harness in a uniform way.
  *
- * Storage. A StatSet is a layout pointer plus one std::vector of
- * doubles. The layout is an interned, immutable key list — {interned
- * name, gauge} pairs sorted by name — and the values sit in the same
- * order. Sets that hold the same keys share one layout, so a
- * finalized SpAtten request keeps only its ~37 doubles (296 B) in a
- * single allocation; the names and kinds are stored once per process.
+ * Storage. A StatSet is a layout pointer plus a pointer to one
+ * reference-counted block of doubles. The layout is an interned,
+ * immutable key list — {interned name, gauge} pairs sorted by name —
+ * and the values sit in the same order. Sets that hold the same keys
+ * share one layout, so a finalized SpAtten request keeps only its ~37
+ * doubles (296 B) in a single allocation; the names and kinds are
+ * stored once per process.
+ *
+ * Sharing (copy-on-write). Copying a set shares its value block: the
+ * copy bumps a count and allocates nothing. Every mutator — add(),
+ * set(), merge(), reserve(), clear() — first makes the block its own,
+ * copying it when another set still refers to it, so a write to one
+ * copy never shows in another. Readers (get, has, isGauge, all(),
+ * toString) never copy. Sets whose values are bit-equal can therefore
+ * be folded onto one block by assignment (sameValues()/valueHash()
+ * find them): the serving scheduler does so for every finished
+ * request, so a report's records keep one block per distinct result.
  *
  * Interning. Names, layouts and layout transitions live in one
  * process-wide, append-only registry behind a mutex. Equal names
@@ -30,9 +41,11 @@
  * cover take the registry's lock. Value writes to existing keys,
  * get/has/isGauge, copying, all(), merging two sets of one layout and
  * hinted steps read only immutable interned data without locking.
- * Distinct StatSets may therefore be built on any number of threads at
- * once; one StatSet is not itself synchronized, like any standard
- * container.
+ * A value block's count is atomic, and a shared block is never written:
+ * copies of one set may be read, written and destroyed on different
+ * threads at once, each thread through its own copy. Distinct StatSets
+ * may therefore be built on any number of threads at once; one StatSet
+ * object is not itself synchronized, like any standard container.
  *
  * Name order. all() and toString() walk entries in ascending
  * std::string order of their names — the same order the former
@@ -82,6 +95,12 @@ class StatName
  * (point-in-time values like utilizations or config echoes, overwritten
  * by merge() — last writer wins, never summed). Merging a result's
  * stats into an aggregate therefore never corrupts gauge entries.
+ *
+ * A set is a value type with shared storage: a copy shares the value
+ * block (copy-on-write) and allocates nothing, and the first mutator
+ * called on either side gives that side a private copy. Copies may
+ * live on different threads and be written there; one set object is
+ * not synchronized (see the file comment).
  */
 class StatSet
 {
@@ -171,6 +190,32 @@ class StatSet
         std::size_t n_;
     };
 
+    StatSet() = default;
+    /** Shares @p o's value block; allocates nothing. */
+    StatSet(const StatSet& o) noexcept : layout_(o.layout_), block_(o.block_)
+    {
+        if (block_ != nullptr)
+            block_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+    StatSet(StatSet&& o) noexcept
+        : layout_(std::exchange(o.layout_, &kEmptyLayout)),
+          block_(std::exchange(o.block_, nullptr))
+    {
+    }
+    StatSet& operator=(const StatSet& o) noexcept
+    {
+        StatSet copy(o);
+        swap(copy);
+        return *this;
+    }
+    StatSet& operator=(StatSet&& o) noexcept
+    {
+        StatSet taken(std::move(o));
+        swap(taken);
+        return *this;
+    }
+    ~StatSet() { release(); }
+
     /** Add @p delta to the named counter (creating it at 0). */
     void add(const std::string& name, double delta);
     void add(StatName name, double delta);
@@ -194,25 +239,71 @@ class StatSet
     void merge(const StatSet& other);
 
     /** All (name, value) pairs in name order. */
-    View all() const
-    {
-        return View(layout_->keys.data(), values_.data(), values_.size());
-    }
+    View all() const { return View(layout_->keys.data(), values(), size()); }
 
     /** Reserve room for @p n values (one allocation up front). */
-    void reserve(std::size_t n) { values_.reserve(n); }
+    void reserve(std::size_t n) { own(n); }
 
     /** Multi-line "name = value" dump, for harness output. */
     std::string toString() const;
 
-    void clear()
+    void clear();
+
+    /**
+     * True when @p o holds the same keys, kinds and value bits: equal
+     * layouts and a bytewise-equal value array, so -0.0 never matches
+     * +0.0 and a NaN matches only the same NaN bits.
+     */
+    bool sameValues(const StatSet& o) const;
+
+    /** Hash of (layout, value bits), consistent with sameValues(). */
+    std::uint64_t valueHash() const;
+
+    /** True when both sets hold values and read them from one block. */
+    bool sharesValuesWith(const StatSet& o) const
     {
-        layout_ = &kEmptyLayout;
-        values_.clear();
+        return block_ != nullptr && block_ == o.block_;
     }
 
   private:
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+    /**
+     * A value block: a header, then @c capacity doubles, in one
+     * allocation. Values [0, size()) are live. @c refs counts the sets
+     * that hold the block (a 32-bit count: 2^32 copies would need 64 GiB
+     * of StatSets).
+     */
+    struct Block
+    {
+        std::atomic<std::uint32_t> refs;
+        std::uint32_t capacity;
+
+        double* values() { return reinterpret_cast<double*>(this + 1); }
+    };
+    static_assert(sizeof(Block) % alignof(double) == 0,
+                  "values must start aligned after the header");
+
+    /** Number of values: one per key of the layout. */
+    std::size_t size() const { return layout_->keys.size(); }
+    const double* values() const
+    {
+        return block_ != nullptr ? block_->values() : nullptr;
+    }
+    void swap(StatSet& o) noexcept
+    {
+        std::swap(layout_, o.layout_);
+        std::swap(block_, o.block_);
+    }
+    /** Drop this set's reference, freeing the block with the last one. */
+    void release() noexcept;
+    /**
+     * The one path to writable values: makes the block this set's own
+     * with room for at least @p capacity values, copying the live
+     * values into a fresh block of exactly max(capacity, size())
+     * when the block is shared or too small. Null when both are 0.
+     */
+    double* own(std::size_t capacity);
 
     /** Index of @p name in the layout, npos when absent. */
     std::size_t indexOf(std::string_view name) const;
@@ -228,8 +319,13 @@ class StatSet
     static const Layout kEmptyLayout;
 
     const Layout* layout_ = &kEmptyLayout; ///< Interned.
-    std::vector<double> values_; ///< One per layout key, in order.
+    Block* block_ = nullptr; ///< Shared, copy-on-write; null when empty.
 };
+
+// A finished request's record holds its result's StatSet, so the set
+// stays two pointers: an interned layout and a shared value block.
+static_assert(sizeof(StatSet) == 2 * sizeof(void*),
+              "StatSet must stay a {layout, block} pair");
 
 /**
  * Where a type-7 quantile falls among n >= 1 ascending samples: rank =

@@ -265,6 +265,16 @@ TEST(BaselineSessions, DecodeStepCostGrowsWithContext)
 
 using StatRow = std::tuple<std::string, double, bool>;
 
+/// (name, value, gauge) rows of @p s in name order.
+std::vector<StatRow>
+rowsOf(const StatSet& s)
+{
+    std::vector<StatRow> rows;
+    for (const auto& [name, value] : s.all())
+        rows.emplace_back(name, value, s.isGauge(name));
+    return rows;
+}
+
 /// One worker's stat registry: names every worker shares, names unique
 /// to @p tid, and a finalized SpAtten session's stats merged on top.
 std::vector<StatRow>
@@ -285,11 +295,7 @@ buildWorkerStats(std::size_t tid)
         session.decodeStep();
     s.merge(session.finalize().stats);
     s.add("stat_race.shared.0", 1.0);
-
-    std::vector<StatRow> rows;
-    for (const auto& [name, value] : s.all())
-        rows.emplace_back(name, value, s.isGauge(name));
-    return rows;
+    return rowsOf(s);
 }
 
 // StatSet names are interned in one process-wide table. Workers that
@@ -315,6 +321,76 @@ TEST(SessionStats, ConcurrentStatSetsMatchSingleThreadedReference)
         EXPECT_TRUE(got[t] == want) << "worker " << t;
         EXPECT_TRUE(std::is_sorted(want.begin(), want.end()));
     }
+}
+
+// Copies of a finalized set share its value block and copy it on their
+// first write. Workers that copy one set, write their copy and drop it
+// while the others do the same must each see only their own writes,
+// and the source must keep its values; then workers that are the only
+// holders of one block race to write it, so the last to write finds it
+// unshared and writes in place. Under TSan this is the race check of
+// the block's reference count and of the uniqueness test before a
+// write.
+TEST(SessionStats, CopiesOfOneFinalizedSetWriteIndependentlyAcrossThreads)
+{
+    DecodeSession session(SpAttenConfig{}, tinyWorkload(64, 3),
+                          PruningPolicy{}, 1);
+    session.prefill();
+    while (!session.done())
+        session.decodeStep();
+    const StatSet source = session.finalize().stats;
+    const std::vector<StatRow> want = rowsOf(source);
+    ASSERT_GE(want.size(), 2u);
+    const std::string key = std::get<0>(want.front());
+    const double base = std::get<1>(want.front());
+
+    constexpr std::size_t kWorkers = 8;
+    std::vector<std::size_t> wrong(kWorkers, 0);
+    const auto check = [&wrong](std::size_t t, bool ok) {
+        if (!ok)
+            ++wrong[t];
+    };
+    const auto expect = [&check, &key, base](std::size_t t,
+                                             const StatSet& mine) {
+        check(t, mine.get(key) == base + static_cast<double>(t + 1));
+        check(t, mine.get("stat_cow.worker") == static_cast<double>(t));
+    };
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kWorkers; ++t)
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < 100; ++round) {
+                StatSet mine = source;
+                const StatSet held = mine;
+                check(t, mine.sharesValuesWith(source));
+                mine.add(key, static_cast<double>(t + 1));
+                mine.set("stat_cow.worker", static_cast<double>(t));
+                expect(t, mine);
+                check(t, !mine.sharesValuesWith(source));
+                check(t, held.sharesValuesWith(source));
+            }
+        });
+    for (auto& th : threads)
+        th.join();
+    threads.clear();
+
+    for (int round = 0; round < 20; ++round) {
+        StatSet fresh = session.finalize().stats;
+        std::vector<StatSet> copies(kWorkers, fresh);
+        fresh.clear(); // Only the workers hold the block now.
+        for (std::size_t t = 0; t < kWorkers; ++t)
+            threads.emplace_back([&, t] {
+                check(t, rowsOf(copies[t]) == want);
+                copies[t].add(key, static_cast<double>(t + 1));
+                copies[t].set("stat_cow.worker", static_cast<double>(t));
+                expect(t, copies[t]);
+            });
+        for (auto& th : threads)
+            th.join();
+        threads.clear();
+    }
+    for (std::size_t t = 0; t < kWorkers; ++t)
+        EXPECT_EQ(wrong[t], 0u) << "worker " << t;
+    EXPECT_TRUE(rowsOf(source) == want);
 }
 
 // ---------------------------------------------------------------------

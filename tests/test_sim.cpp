@@ -260,6 +260,116 @@ TEST(StatSet, ClearResetsTheSet)
     EXPECT_EQ(statRows(s), (Rows{{"layout.gauge", 1.0, false}}));
 }
 
+// A copy shares its source's value block; the first write to either
+// side copies it, so the other side keeps exactly its old values and
+// kinds. Each mutator runs once on the source and once on the copy,
+// and must leave the mutated side as it leaves an unshared set.
+TEST(StatSet, CopyOnWriteLeavesTheOtherSideUntouched)
+{
+    static const StatName kCounter("layout.counter");
+    static const StatName kGauge("layout.gauge");
+    using Mutation = std::pair<const char*, void (*)(StatSet&, StatSet&)>;
+    const std::vector<Mutation> mutations = {
+        {"add", [](StatSet& s, StatSet&) { s.add("layout.counter", 0.25); }},
+        {"add(StatName)", [](StatSet& s, StatSet&) { s.add(kCounter, 4.0); }},
+        {"set", [](StatSet& s, StatSet&) { s.set("layout.gauge", 9.0); }},
+        {"set(StatName)", [](StatSet& s, StatSet&) { s.set(kGauge, -0.0); }},
+        {"new key", [](StatSet& s, StatSet&) { s.add("layout.fresh", 3.0); }},
+        {"kind change",
+         [](StatSet& s, StatSet&) { s.set("layout.counter", 5.0); }},
+        {"merge into",
+         [](StatSet& s, StatSet&) {
+             StatSet in;
+             in.add("layout.counter", 0.5);
+             in.set("layout.donor", 7.0);
+             s.merge(in);
+         }},
+        {"merge from its sharer",
+         [](StatSet& s, StatSet& sharer) { s.merge(sharer); }},
+        {"self-merge", [](StatSet& s, StatSet&) { s.merge(s); }},
+        {"reserve", [](StatSet& s, StatSet&) { s.reserve(64); }},
+        {"clear", [](StatSet& s, StatSet&) { s.clear(); }},
+    };
+    const Rows base = statRows(sharedLayoutSet());
+    for (const auto& [what, mutate] : mutations) {
+        for (const bool on_copy : {false, true}) {
+            StatSet source = sharedLayoutSet();
+            StatSet copy = source;
+            ASSERT_TRUE(copy.sharesValuesWith(source)) << what;
+            StatSet& target = on_copy ? copy : source;
+            StatSet& other = on_copy ? source : copy;
+
+            StatSet alone = sharedLayoutSet();
+            StatSet alone_sharer = sharedLayoutSet();
+            mutate(alone, alone_sharer);
+            mutate(target, other);
+
+            EXPECT_EQ(statRows(other), base) << what << " on_copy=" << on_copy;
+            EXPECT_EQ(statRows(target), statRows(alone))
+                << what << " on_copy=" << on_copy;
+            EXPECT_FALSE(target.sharesValuesWith(other)) << what;
+            EXPECT_TRUE(target.sameValues(alone)) << what;
+        }
+    }
+}
+
+// Both sides stay independent over a chain of writes: a set copied,
+// written, copied again and written again never shows another's write.
+TEST(StatSet, CopiesOfCopiesStayIndependent)
+{
+    StatSet a = sharedLayoutSet();
+    StatSet b = a;
+    StatSet c = b;
+    b.add("layout.counter", 1.0);
+    StatSet d = b;
+    d.set("layout.gauge", 8.0);
+    c.add("layout.more", 2.0);
+    EXPECT_EQ(statRows(a), statRows(sharedLayoutSet()));
+    EXPECT_DOUBLE_EQ(b.get("layout.counter"), 2.0);
+    EXPECT_DOUBLE_EQ(b.get("layout.gauge"), 2.0);
+    EXPECT_DOUBLE_EQ(d.get("layout.counter"), 2.0);
+    EXPECT_DOUBLE_EQ(d.get("layout.gauge"), 8.0);
+    EXPECT_EQ(statRows(c), (Rows{{"layout.counter", 1.0, false},
+                                 {"layout.gauge", 2.0, true},
+                                 {"layout.more", 2.0, false}}));
+    // Assignment shares; moving hands the block over.
+    a = d;
+    EXPECT_TRUE(a.sharesValuesWith(d));
+    StatSet e = std::move(a);
+    EXPECT_TRUE(e.sharesValuesWith(d));
+    EXPECT_EQ(statRows(e), statRows(d));
+}
+
+// sameValues() is exact bit equality of (layout, values), and
+// valueHash() agrees with it: -0.0 and +0.0 differ, a NaN matches only
+// the same NaN bits, and a set matches a copy and an equal rebuild.
+TEST(StatSet, SameValuesComparesLayoutAndValueBits)
+{
+    const auto with = [](double v) {
+        StatSet s = sharedLayoutSet();
+        s.set("layout.gauge", v);
+        return s;
+    };
+    const StatSet a = with(1.5), b = with(1.5);
+    EXPECT_FALSE(a.sharesValuesWith(b));
+    EXPECT_TRUE(a.sameValues(b));
+    EXPECT_EQ(a.valueHash(), b.valueHash());
+    EXPECT_TRUE(a.sameValues(StatSet(a)));
+    EXPECT_FALSE(with(0.0).sameValues(with(-0.0)));
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(with(nan).sameValues(with(nan)));
+    EXPECT_EQ(with(nan).valueHash(), with(nan).valueHash());
+    EXPECT_FALSE(with(nan).sameValues(with(-nan)));
+    // Equal values under another layout (a counter, not a gauge).
+    StatSet counter = sharedLayoutSet();
+    counter.add("layout.gauge", -0.5);
+    EXPECT_FALSE(counter.sameValues(a));
+    EXPECT_TRUE(StatSet().sameValues(StatSet()));
+    StatSet cleared = a;
+    cleared.clear();
+    EXPECT_TRUE(cleared.sameValues(StatSet()));
+}
+
 // ---------------------------------------------------------------------
 // sortedQuantile: linear interpolation between adjacent ranks
 // ---------------------------------------------------------------------

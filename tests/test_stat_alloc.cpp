@@ -1,16 +1,19 @@
 /// Allocation guards. Every served request keeps its finalized
 /// RunResult, so a RunResult copy must stay a handful of allocations,
-/// not one heap node per stat: at most the workload name and the single
-/// value array, however many stats the result carries. The names and
-/// kinds live once in the shared interned layout, so the copy costs 8
-/// bytes (one double) per stat plus the name.
+/// not one heap node per stat. The names and kinds live once in the
+/// shared interned layout, and the values in one reference-counted
+/// block that a copy shares, so copying a result allocates only its
+/// workload name, however many stats it carries.
 ///
 /// The serving report must not cost a second copy of what its records
 /// hold: the live-byte high-water mark of a scheduler run may rise only
-/// a little above what the returned report keeps.
+/// a little above what the returned report keeps. Records whose stats
+/// are bit-equal share one value block, so the report's stat bytes
+/// follow the trace's distinct request shapes, not its length.
 ///
 /// A shared-prefix trace keeps its prompt content as (start, seed)
-/// runs, so what it retains per request does not grow with the prompts.
+/// runs, so what it retains per request does not grow with the prompts,
+/// and the KV pool walks a prompt's block chain in reused scratch.
 ///
 /// The binary replaces the global operator new with a counting one, so
 /// it lives alone rather than in a shared test executable.
@@ -18,6 +21,7 @@
 
 #include <malloc.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -29,6 +33,7 @@
 #include "accel/spatten_accelerator.hpp"
 #include "serve/accelerator_backend.hpp"
 #include "serve/continuous_batch_scheduler.hpp"
+#include "serve/kv_pool.hpp"
 #include "workload/arrival_trace.hpp"
 
 namespace {
@@ -151,16 +156,16 @@ copyBytes(const RunResult& r)
     return after - before;
 }
 
-/// The most a RunResult copy may allocate: one double per stat and the
-/// name's characters with their terminator.
+/// The most a RunResult copy may allocate: the name's characters with
+/// their terminator. The stat values are shared, not copied.
 std::size_t
 copyBudget(const RunResult& r)
 {
-    return r.stats.all().size() * sizeof(double) + r.workload.size() + 1;
+    return r.workload.size() + 1;
 }
 
 /// A name too long for the small-string buffer, so the copy of the
-/// name is one of the two allowed allocations.
+/// name is the one allowed allocation.
 WorkloadSpec
 gpt2(std::size_t prompt, std::size_t generate)
 {
@@ -184,22 +189,22 @@ finishedSession()
     return session;
 }
 
-TEST(StatAlloc, CopyingARunResultAllocatesNameAndStatArrayOnly)
+TEST(StatAlloc, CopyingARunResultAllocatesTheNameOnly)
 {
     SpAttenAccelerator accel;
     const RunResult r = accel.run(gpt2(512, 16), PruningPolicy{});
     ASSERT_GE(r.stats.all().size(), 37u);
-    EXPECT_LE(copyAllocations(r), 2u);
+    EXPECT_LE(copyAllocations(r), 1u);
 }
 
-TEST(StatAlloc, CopyingAFinalizedSessionAllocatesNameAndStatArrayOnly)
+TEST(StatAlloc, CopyingAFinalizedSessionAllocatesTheNameOnly)
 {
     const RunResult r = finishedSession()->finalize();
     ASSERT_GE(r.stats.all().size(), 37u);
-    EXPECT_LE(copyAllocations(r), 2u);
+    EXPECT_LE(copyAllocations(r), 1u);
 }
 
-TEST(StatAlloc, CopyingAFinalizedResultAllocatesEightBytesPerStat)
+TEST(StatAlloc, CopyingAFinalizedResultAllocatesTheNameBytesOnly)
 {
     SpAttenAccelerator accel;
     const RunResult ran = accel.run(gpt2(512, 16), PruningPolicy{});
@@ -298,6 +303,99 @@ TEST(ServeAlloc, RunHighWaterStaysFarBelowAPooledGapCopy)
         << "run() peaked " << (peak - after) << " B above the "
         << (after - before) << " B its report keeps; a copy of the "
         << gaps << " pooled gaps is " << gap_copy << " B";
+}
+
+// A session is a pure function of its shape, so the records of equal
+// shapes finalize to bit-equal stats, and the scheduler hands them one
+// value block: the report's stat bytes follow the trace's distinct
+// (prompt, output) shapes, not its request count. Each record still
+// reads exactly what a fresh session of its request finalizes to.
+TEST(ServeAlloc, RecordsWithEqualStatsShareOneBlock)
+{
+    const std::array<std::pair<std::size_t, std::size_t>, 3> shapes = {
+        {{32, 2}, {48, 3}, {32, 4}}};
+    std::vector<TracedRequest> trace(96);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        WorkloadSpec& w = trace[i].workload;
+        w.name = "tiny";
+        w.model = {"tiny", 4, 4, 64, 4};
+        w.summarize_len = shapes[i % shapes.size()].first;
+        w.generate_len = shapes[i % shapes.size()].second;
+        trace[i].id = i;
+        trace[i].arrival_s = 1e-5 * static_cast<double>(i);
+        trace[i].seed = i;
+    }
+    const auto accel = std::make_shared<const SpAttenAccelerator>();
+    ContinuousBatchConfig sc;
+    sc.max_active = 8;
+    ServeReport r = ContinuousBatchScheduler(AcceleratorFleet{accel}, sc)
+                        .run(trace);
+
+    std::vector<const StatSet*> distinct;
+    for (std::size_t i = 0; i < r.requests.size(); ++i) {
+        const ServedRequest& req = r.requests[i];
+        ASSERT_EQ(req.phase, RequestPhase::Finished);
+        const StatSet& stats = req.sim.stats;
+        ASSERT_GE(stats.all().size(), 37u);
+        const TracedRequest& t = trace[i];
+        const auto session = accel->makeSession(t.workload, t.policy, t.seed);
+        session->prefill();
+        while (!session->done())
+            session->decodeStep();
+        EXPECT_TRUE(stats.sameValues(session->finalize().stats))
+            << "request " << i;
+        bool seen = false;
+        for (const StatSet* d : distinct) {
+            const bool equal = d->sameValues(stats);
+            EXPECT_EQ(d->sharesValuesWith(stats), equal) << "request " << i;
+            seen = seen || equal;
+        }
+        if (!seen)
+            distinct.push_back(&stats);
+    }
+    EXPECT_EQ(distinct.size(), shapes.size());
+
+    // What the records' stats keep: the bytes dropping them frees.
+    const std::size_t values = r.requests.front().sim.stats.all().size();
+    const std::size_t with = g_live.load();
+    for (ServedRequest& req : r.requests)
+        req.sim.stats = StatSet();
+    const std::size_t freed = with - g_live.load();
+    EXPECT_LE(freed, shapes.size() * (values * sizeof(double) + 64))
+        << freed << " B of stats kept by " << r.requests.size()
+        << " records of " << shapes.size() << " shapes";
+}
+
+// tryReservePrefix walks the prompt's block chain in pool-owned
+// scratch. Once that has grown, an admission that fails the budget
+// check, and so rolls back and reserves nothing, allocates nothing at
+// all; a full prefix hit allocates only its reservation (the held-map
+// node and its block list).
+TEST(KvAlloc, RepeatedPrefixChainWalkAllocatesNoScratch)
+{
+    const ModelSpec model{"tiny", 4, 4, 64, 4};
+    KvPoolConfig cfg;
+    cfg.capacity_bytes = KvPool(cfg).bytesForTokens(model, 128);
+    KvPool pool(cfg);
+    std::vector<std::uint64_t> prompt(512);
+    for (std::size_t i = 0; i < prompt.size(); ++i)
+        prompt[i] = 1000 + i;
+    const TokenSpan head(prompt.data(), 64);
+    ASSERT_TRUE(pool.tryReservePrefix(1, model, head).ok);
+    const std::uint64_t used = pool.usedBytes();
+
+    ASSERT_FALSE(pool.tryReservePrefix(2, model, prompt).ok); // Grows it.
+    const std::size_t before = g_allocations.load();
+    for (int i = 0; i < 8; ++i)
+        ASSERT_FALSE(pool.tryReservePrefix(2, model, prompt).ok);
+    EXPECT_EQ(g_allocations.load() - before, 0u);
+    EXPECT_EQ(pool.usedBytes(), used);
+
+    const std::size_t hit_before = g_allocations.load();
+    const KvPool::PrefixReservation hit = pool.tryReservePrefix(3, model, head);
+    EXPECT_LE(g_allocations.load() - hit_before, 2u);
+    ASSERT_TRUE(hit.ok);
+    EXPECT_EQ(hit.cached_tokens, 64u);
 }
 
 /// Live bytes @p trace keeps for its prompt content: what clearing
