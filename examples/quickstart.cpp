@@ -81,11 +81,19 @@ main()
     // 6. Serve three requests arriving together through the
     //    continuous-batching scheduler on a one-slot SpAtten fleet,
     //    every decode iteration advancing all resident requests at once.
+    //    Requests share their model and policy through a template: two
+    //    run the SpAtten policy, the third runs dense.
+    const auto templateOf = [&workload](const PruningPolicy& p) {
+        return std::make_shared<const RequestTemplate>(RequestTemplate{
+            workload.model, p, workload.skip_summarization, workload.name});
+    };
+    const auto sparse = templateOf(policy);
+    const auto unpruned = templateOf(PruningPolicy::disabled());
     std::vector<TracedRequest> trace(3);
     for (std::size_t i = 0; i < trace.size(); ++i) {
         trace[i].id = i;
-        trace[i].workload = workload;
-        trace[i].policy = i < 2 ? policy : PruningPolicy::disabled();
+        trace[i].workload = {workload.summarize_len, workload.generate_len};
+        trace[i].tmpl = i < 2 ? sparse : unpruned;
         trace[i].seed = i + 1;
     }
     const AcceleratorFleet fleet{std::make_shared<const SpAttenAccelerator>()};

@@ -237,9 +237,8 @@ kvBudgetForWorstRequest(const std::vector<TracedRequest>& trace,
     std::uint64_t worst = 0;
     for (const TracedRequest& r : trace)
         worst = std::max(worst, probe.bytesForTokens(
-                                    r.workload.model,
-                                    r.workload.summarize_len +
-                                        r.workload.generate_len));
+                                    r.model(), r.workload.summarize_len +
+                                                   r.workload.generate_len));
     return static_cast<std::uint64_t>(static_cast<double>(worst) *
                                       headroom);
 }
@@ -405,7 +404,7 @@ class RunState
                     continue;
                 const TracedRequest& req = trace_[i];
                 const std::uint64_t worst = accels_[a].pool.bytesForTokens(
-                    req.workload.model,
+                    req.model(),
                     req.workload.summarize_len + req.workload.generate_len);
                 SPATTEN_ASSERT(
                     worst <= slotBudget(a),
@@ -472,7 +471,7 @@ class RunState
         for (std::size_t i = 0; i < accel.active.size();) {
             const ActiveSession& m = accel.active[i];
             if (!m.session->prefilled() ||
-                accel.pool.tryResize(m.idx, trace_[m.idx].workload.model,
+                accel.pool.tryResize(m.idx, trace_[m.idx].model(),
                                      m.session->kvLength() + extra)) {
                 ++i;
                 continue;
@@ -570,7 +569,7 @@ class RunState
             ActiveSession& m = accel.active[i];
             if (m.session->prefilled())
                 continue;
-            const WorkloadSpec& w = trace_[m.idx].workload;
+            const WorkloadSpec& w = m.session->workload();
             if (w.skip_summarization) {
                 // Pre-summarized prompt: the pass is free, so it
                 // neither draws budget nor counts as the chunk.
@@ -853,7 +852,7 @@ class RunState
         AccelState& accel = accels_[a];
         const std::size_t idx = queue[pos];
         const TracedRequest& req = trace_[idx];
-        const WorkloadSpec& w = req.workload;
+        const RequestShape& w = req.workload;
         std::size_t cached_prefix = 0;
         double promote_s = 0.0;
         bool reserved;
@@ -866,7 +865,7 @@ class RunState
                            w.summarize_len);
             req.prompt_tokens.copyTo(prompt_ids_);
             const KvPool::PrefixReservation pr =
-                accel.pool.tryReservePrefix(idx, w.model, prompt_ids_);
+                accel.pool.tryReservePrefix(idx, req.model(), prompt_ids_);
             reserved = pr.ok;
             if (pr.ok && pr.cached_tokens > 0) {
                 // The last prompt token is always recomputed (vLLM
@@ -887,7 +886,8 @@ class RunState
                 promote_s =
                     sched_.far_memory.transferSeconds(pr.promoted_bytes);
         } else {
-            reserved = accel.pool.tryReserve(idx, w.model, w.summarize_len);
+            reserved =
+                accel.pool.tryReserve(idx, req.model(), w.summarize_len);
         }
         if (!reserved)
             return false;
@@ -902,7 +902,8 @@ class RunState
         accel.active.push_back(
             {idx, admit_seq_++, cached_prefix,
              /*prefill_pos=*/cached_prefix, promote_s,
-             fleet_[a]->makeSession(w, req.policy, req.seed)});
+             fleet_[a]->makeSession(req.sessionSpec(), req.policy(),
+                                    req.seed)});
         return true;
     }
 

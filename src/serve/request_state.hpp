@@ -77,7 +77,12 @@ struct ServedRequest
     /// the session's size_t): a resident KV length is bounded by the
     /// context, and the scheduler asserts every entry fits.
     std::vector<std::uint32_t> kv_trace;
-    RunResult sim;                      ///< Finalized simulation result.
+    /// Finalized simulation result. Its `workload` name is empty: the
+    /// scheduler opens sessions with TracedRequest::sessionSpec(), so
+    /// no record holds a copy of a name. A record's name is its trace
+    /// entry's name() (records are in trace order: requests[i] serves
+    /// trace[i]).
+    RunResult sim;
 
     /** Queueing delay: admission minus arrival. */
     double queueDelaySeconds() const { return admit_s - arrival_s; }

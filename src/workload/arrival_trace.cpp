@@ -40,35 +40,11 @@ boundedParetoDraw(Prng& prng, std::size_t lo, std::size_t hi,
 }
 
 /**
- * "<kind>-<i>-p<prompt>-g<output>", formatted into a stack buffer and
- * built as a string once, at its exact size.
+ * Arrival trace under @p cfg whose requests all point at one template
+ * of cfg.model and cfg.policy, names numbered after @p kind.
  */
-template <std::size_t N>
-std::string
-requestName(const char (&kind)[N], std::size_t i, std::size_t prompt,
-            std::size_t output)
-{
-    // The kind, three 20-digit numbers and four separator characters.
-    char buf[N + 3 * 20 + 4];
-    char* const end = buf + sizeof buf;
-    char* p = std::copy(kind, kind + N - 1, buf);
-    const auto sep = [&p, end](const char* s) {
-        for (; *s != '\0' && p != end; ++s)
-            *p++ = *s;
-    };
-    sep("-");
-    p = std::to_chars(p, end, i).ptr;
-    sep("-p");
-    p = std::to_chars(p, end, prompt).ptr;
-    sep("-g");
-    p = std::to_chars(p, end, output).ptr;
-    return std::string(buf, p);
-}
-
-} // namespace
-
 std::vector<TracedRequest>
-generateArrivalTrace(const ArrivalTraceConfig& cfg)
+arrivalTrace(const ArrivalTraceConfig& cfg, const char* kind)
 {
     SPATTEN_ASSERT(cfg.mean_interarrival_s > 0, "bad interarrival mean");
     SPATTEN_ASSERT(cfg.min_prompt >= 1 && cfg.min_prompt <= cfg.max_prompt,
@@ -85,6 +61,8 @@ generateArrivalTrace(const ArrivalTraceConfig& cfg)
     if (cfg.prompt_dist == PromptLengthDist::BoundedPareto)
         SPATTEN_ASSERT(cfg.pareto_alpha > 0, "bad Pareto shape");
 
+    const auto tmpl = std::make_shared<const RequestTemplate>(
+        RequestTemplate{cfg.model, cfg.policy, false, kind, true});
     Prng prng(cfg.seed);
     std::vector<TracedRequest> trace;
     trace.reserve(cfg.num_requests);
@@ -117,23 +95,69 @@ generateArrivalTrace(const ArrivalTraceConfig& cfg)
             cfg.min_output +
             prng.below(cfg.max_output - cfg.min_output + 1);
 
-        TracedRequest req;
+        TracedRequest& req = trace.emplace_back();
         req.id = i;
         req.arrival_s = t;
-        req.workload.name = requestName("trace", i, prompt, output);
-        req.workload.model = cfg.model;
-        req.workload.summarize_len = prompt;
-        req.workload.generate_len = output;
-        req.policy = cfg.policy;
+        req.workload = {prompt, output};
+        req.tmpl = tmpl;
         req.seed = prng();
         // Guarded draw: priority_levels == 1 consumes no PRNG state, so
         // pre-priority traces replay bit-identically from the same seed.
         if (cfg.priority_levels > 1)
             req.priority =
                 static_cast<int>(prng.below(cfg.priority_levels));
-        trace.push_back(std::move(req));
     }
     return trace;
+}
+
+} // namespace
+
+const RequestTemplate&
+RequestTemplate::defaults()
+{
+    static const RequestTemplate defaults;
+    return defaults;
+}
+
+std::string
+TracedRequest::name() const
+{
+    const RequestTemplate& t = requestTemplate();
+    if (!t.numbered)
+        return t.name;
+    // "-<id>-p<prompt>-g<output>": three 20-digit numbers and four
+    // separator characters, formatted on the stack and appended once.
+    char buf[3 * 20 + 4];
+    char* const end = buf + sizeof buf;
+    char* p = buf;
+    const auto sep = [&p, end](const char* s) {
+        for (; *s != '\0' && p != end; ++s)
+            *p++ = *s;
+    };
+    sep("-");
+    p = std::to_chars(p, end, id).ptr;
+    sep("-p");
+    p = std::to_chars(p, end, workload.summarize_len).ptr;
+    sep("-g");
+    p = std::to_chars(p, end, workload.generate_len).ptr;
+    std::string name;
+    name.reserve(t.name.size() + static_cast<std::size_t>(p - buf));
+    name.append(t.name).append(buf, p);
+    return name;
+}
+
+WorkloadSpec
+TracedRequest::sessionSpec() const
+{
+    const RequestTemplate& t = requestTemplate();
+    return {std::string(), t.model, workload.summarize_len,
+            workload.generate_len, t.skip_summarization};
+}
+
+std::vector<TracedRequest>
+generateArrivalTrace(const ArrivalTraceConfig& cfg)
+{
+    return arrivalTrace(cfg, "trace");
 }
 
 std::vector<TracedRequest>
@@ -195,7 +219,7 @@ generateSharedPrefixTrace(const SharedPrefixTraceConfig& cfg)
                    "a single opening turn cannot fit max_prompt_tokens");
 
     // Arrivals / outputs / priorities / seeds: the exact base streams.
-    std::vector<TracedRequest> trace = generateArrivalTrace(cfg.base);
+    std::vector<TracedRequest> trace = arrivalTrace(cfg.base, "prefix");
     // Content composition runs on its own stream so the base demand
     // shape never shifts when the sharing knobs change.
     Prng content(mix64(cfg.base.seed ^ 0x70726566697865ULL)); // "prefixe"
@@ -210,6 +234,9 @@ generateSharedPrefixTrace(const SharedPrefixTraceConfig& cfg)
     std::vector<std::size_t> system_prompt; // Per conversation.
     std::vector<std::size_t> run_count;     // Per conversation.
     std::vector<std::size_t> conversation(trace.size()); // Per request.
+    conversations.reserve(trace.size());
+    system_prompt.reserve(trace.size());
+    run_count.reserve(trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i) {
         TracedRequest& req = trace[i];
         const std::size_t turn =
@@ -240,8 +267,6 @@ generateSharedPrefixTrace(const SharedPrefixTraceConfig& cfg)
             run_count.push_back(2); // System prompt and user turn.
         }
         req.workload.summarize_len = context + turn;
-        req.workload.name = requestName("prefix", i, context + turn,
-                                        req.workload.generate_len);
     }
 
     // Pass 2 — content, in request order. Each conversation's run list

@@ -15,11 +15,20 @@
  * the seed), so every scheduler experiment replays the exact same
  * demand — the determinism anchor the property tests and
  * BENCH_serving.json trajectories rely on.
+ *
+ * A request stores only what is its own: lengths, arrival, seed,
+ * priority and a view of its prompt content. What a whole trace shares
+ * (model, policy, how names read) lives once in an immutable
+ * RequestTemplate every request points at, and a request's name is
+ * computed when read, so a generated trace costs 88 B and no heap
+ * allocation per request.
  */
 #ifndef SPATTEN_WORKLOAD_ARRIVAL_TRACE_HPP
 #define SPATTEN_WORKLOAD_ARRIVAL_TRACE_HPP
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/prng.hpp"
@@ -28,13 +37,43 @@
 
 namespace spatten {
 
+/**
+ * What the requests of one trace share, held once and pointed at by
+ * each of them. Immutable once built; a trace mixing models or policies
+ * holds one template per combination.
+ */
+struct RequestTemplate
+{
+    ModelSpec model;
+    PruningPolicy policy;
+    /// Pre-summarized prompts (WorkloadSpec::skip_summarization).
+    bool skip_summarization = false;
+    /// A request's name: this alone, or, when numbered,
+    /// "<name>-<id>-p<prompt>-g<output>" (the generators' "trace-12-p193-g13").
+    std::string name = "workload";
+    bool numbered = false;
+
+    /** The template a request without one reads: WorkloadSpec's and
+     *  PruningPolicy's defaults. */
+    static const RequestTemplate& defaults();
+};
+
+/** The per-request lengths of a traced request. */
+struct RequestShape
+{
+    std::size_t summarize_len = 128; ///< Prompt tokens.
+    std::size_t generate_len = 0;    ///< Output tokens.
+};
+
 /** One request of an arrival trace. */
 struct TracedRequest
 {
     std::size_t id = 0;      ///< Position in the trace (stable identity).
     double arrival_s = 0;    ///< Simulated arrival time.
-    WorkloadSpec workload;   ///< Prompt/output shape of this request.
-    PruningPolicy policy;
+    RequestShape workload;   ///< Prompt/output lengths of this request.
+    /// Model, policy and name kind, shared with the rest of the trace;
+    /// null reads RequestTemplate::defaults().
+    std::shared_ptr<const RequestTemplate> tmpl;
     std::uint64_t seed = kDefaultRequestSeed; ///< Per-request PRNG seed.
     int priority = 0; ///< Scheduling priority; higher is more urgent.
     /// Prompt *content* identity, one synthetic token id per prompt
@@ -45,6 +84,19 @@ struct TracedRequest
     /// or conversation history share a literal token prefix; every
     /// turn of one conversation views the same stored run list.
     PromptTokens prompt_tokens;
+
+    const RequestTemplate& requestTemplate() const
+    {
+        return tmpl ? *tmpl : RequestTemplate::defaults();
+    }
+    const ModelSpec& model() const { return requestTemplate().model; }
+    const PruningPolicy& policy() const { return requestTemplate().policy; }
+    /** The request's name, formatted on each call. */
+    std::string name() const;
+    /** The WorkloadSpec a session of this request opens with: model,
+     *  lengths and skip_summarization, with an empty name, so a served
+     *  record's RunResult::workload holds no copy of name(). */
+    WorkloadSpec sessionSpec() const;
 };
 
 /** How arrival times are generated. */
@@ -101,9 +153,11 @@ struct ArrivalTraceConfig
  * Generate an arrival trace under @p cfg's process and distributions:
  * arrival times are the running sum of (possibly burst-interrupted)
  * exponential gaps, prompt/output lengths and priorities are seeded
- * draws, and each request gets a distinct derived seed. Deterministic:
- * the same config yields a bit-identical trace. Arrivals are
- * non-decreasing and ids run 0..n-1 in arrival order.
+ * draws, and each request gets a distinct derived seed. Every request
+ * points at one template of cfg.model and cfg.policy and is named
+ * "trace-<id>-p<prompt>-g<output>". Deterministic: the same config
+ * yields a bit-identical trace. Arrivals are non-decreasing and ids run
+ * 0..n-1 in arrival order.
  */
 std::vector<TracedRequest> generateArrivalTrace(
     const ArrivalTraceConfig& cfg);
@@ -168,10 +222,11 @@ struct DiurnalTraceConfig
 };
 
 /**
- * Generate a diurnal trace: request shapes, priorities, and per-request
- * seeds come from generateArrivalTrace(cfg.base) (bit-identical
- * attribute streams), then arrival times are re-drawn from a separate
- * PRNG stream as a non-homogeneous Poisson process via Lewis-Shedler
+ * Generate a diurnal trace: request shapes, priorities, per-request
+ * seeds, the template and the "trace" names come from
+ * generateArrivalTrace(cfg.base) (bit-identical attribute streams),
+ * then arrival times are re-drawn from a separate PRNG stream as a
+ * non-homogeneous Poisson process via Lewis-Shedler
  * thinning: candidate gaps at the peak rate, accepted with probability
  * rate(t)/peak_rate. Deterministic: the same config yields a
  * bit-identical trace; arrivals are non-decreasing.
@@ -191,7 +246,8 @@ std::vector<TracedRequest> generateDiurnalTrace(
  * prompt, then per turn its user turn and (if non-empty) its reply —
  * so a conversation costs 16 B per run, not 8 B per token; ids are
  * computed when read. workload.summarize_len is overridden to match
- * the view's size. Deterministic: the same config yields a
+ * the view's size, and requests are named "prefix-<id>-…" through one
+ * template of their own. Deterministic: the same config yields a
  * bit-identical trace.
  */
 std::vector<TracedRequest> generateSharedPrefixTrace(

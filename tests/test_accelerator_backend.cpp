@@ -702,12 +702,15 @@ TEST(HeterogeneousFleet, SparseTraceIdsAreServedByPosition)
     // ids need not be dense 0..n-1 positions: every internal structure
     // (round-robin pins, capability classes, KV preconditions) must
     // index by position, never by TracedRequest::id.
+    const auto tiny = std::make_shared<const RequestTemplate>(
+        RequestTemplate{tinyModel(), PruningPolicy{}});
     std::vector<TracedRequest> trace;
     for (std::size_t i = 0; i < 3; ++i) {
         TracedRequest req;
         req.id = 5 + 4 * i; // ids {5, 9, 13} in a 3-element trace.
         req.arrival_s = 1e-6 * static_cast<double>(i + 1);
-        req.workload = tinyWorkload(i == 0 ? 192 : 64, 2);
+        req.workload = {i == 0 ? std::size_t{192} : std::size_t{64}, 2};
+        req.tmpl = tiny;
         req.seed = 17 + i;
         trace.push_back(req);
     }

@@ -350,10 +350,9 @@ TEST(ChunkedScheduler, IterationBudgetBoundsChunkSizes)
     TracedRequest req;
     req.id = 0;
     req.arrival_s = 1e-6;
-    req.workload.name = "budgeted";
-    req.workload.model = tinyModel();
-    req.workload.summarize_len = 160;
-    req.workload.generate_len = 2;
+    req.workload = {160, 2};
+    req.tmpl = std::make_shared<const RequestTemplate>(
+        RequestTemplate{tinyModel(), PruningPolicy{}});
     req.seed = 7;
     const std::vector<TracedRequest> trace{req};
 
@@ -390,15 +389,14 @@ TEST(HeadOfLineAdmission, BlockedPriorityHeadHoldsBackFittingRequest)
     const std::size_t prompts[] = {64, 256, 48};
     const std::size_t outputs[] = {32, 2, 4};
     const int priorities[] = {10, 5, 1};
+    const auto dense = std::make_shared<const RequestTemplate>(
+        RequestTemplate{tinyModel(), PruningPolicy::disabled()});
     for (std::size_t i = 0; i < 3; ++i) {
         TracedRequest req;
         req.id = i;
         req.arrival_s = 1e-6;
-        req.workload.name = "hol-" + std::to_string(i);
-        req.workload.model = tinyModel();
-        req.workload.summarize_len = prompts[i];
-        req.workload.generate_len = outputs[i];
-        req.policy = PruningPolicy::disabled();
+        req.workload = {prompts[i], outputs[i]};
+        req.tmpl = dense;
         req.priority = priorities[i];
         req.seed = 7 + i;
         trace.push_back(req);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -29,6 +30,14 @@ ModelSpec
 tinyModel()
 {
     return {"tiny", 4, 4, 64, 4};
+}
+
+/// A hand-built request's template: the tiny model under @p policy.
+std::shared_ptr<const RequestTemplate>
+tinyTemplate(const PruningPolicy& policy = PruningPolicy{})
+{
+    return std::make_shared<const RequestTemplate>(
+        RequestTemplate{tinyModel(), policy});
 }
 
 ArrivalTraceConfig
@@ -394,10 +403,8 @@ TEST(ContinuousScheduler, ZeroTokenRequestFinishesAtPrefill)
     TracedRequest req;
     req.id = 0;
     req.arrival_s = 1e-3;
-    req.workload.name = "bert-style";
-    req.workload.model = tinyModel();
-    req.workload.summarize_len = 64;
-    req.workload.generate_len = 0;
+    req.workload = {64, 0};
+    req.tmpl = tinyTemplate();
     const ServeReport r = serve({req}, ContinuousBatchConfig{});
     ASSERT_EQ(r.requests.size(), 1u);
     const ServedRequest& s = r.requests.front();
@@ -445,10 +452,8 @@ TEST(ContinuousScheduler, UtilizationExcludesIdleLeadInBeforeFirstArrival)
     TracedRequest req;
     req.id = 0;
     req.arrival_s = 10.0; // Seconds of idle before any demand exists.
-    req.workload.name = "sparse";
-    req.workload.model = tinyModel();
-    req.workload.summarize_len = 64;
-    req.workload.generate_len = 4;
+    req.workload = {64, 4};
+    req.tmpl = tinyTemplate();
     const ServeReport r = serve({req}, ContinuousBatchConfig{});
     ASSERT_EQ(r.requests.size(), 1u);
     const double window = r.makespan_s - req.arrival_s;
@@ -470,10 +475,8 @@ TEST(ContinuousScheduler, UtilizationWindowIsPerAccelUnderRoundRobin)
         TracedRequest req;
         req.id = i;
         req.arrival_s = i == 0 ? 1e-3 : 10.0;
-        req.workload.name = "rr-window-" + std::to_string(i);
-        req.workload.model = tinyModel();
-        req.workload.summarize_len = 64;
-        req.workload.generate_len = 4;
+        req.workload = {64, 4};
+        req.tmpl = tinyTemplate();
         req.seed = 3 + i;
         trace.push_back(req);
     }
@@ -802,10 +805,8 @@ policyProbeTrace()
         TracedRequest req;
         req.id = i;
         req.arrival_s = 1e-6; // Simultaneous (beyond id order).
-        req.workload.name = "probe-" + std::to_string(i);
-        req.workload.model = tinyModel();
-        req.workload.summarize_len = prompts[i];
-        req.workload.generate_len = 2;
+        req.workload = {prompts[i], 2};
+        req.tmpl = tinyTemplate();
         req.priority = priorities[i];
         req.seed = 7 + i;
         trace.push_back(req);
@@ -866,11 +867,8 @@ TEST(ContinuousScheduler, PreemptionEvictsTheLowestPriorityRequest)
         TracedRequest req;
         req.id = i;
         req.arrival_s = 1e-6;
-        req.workload.name = "victim-probe-" + std::to_string(i);
-        req.workload.model = tinyModel();
-        req.workload.summarize_len = 64;
-        req.workload.generate_len = 32;
-        req.policy = PruningPolicy::disabled();
+        req.workload = {64, 32};
+        req.tmpl = tinyTemplate(PruningPolicy::disabled());
         req.priority = i == 0 ? 0 : 5;
         req.seed = 11 + i;
         trace.push_back(req);
@@ -905,7 +903,8 @@ TEST(ContinuousScheduler, SingleIdleRequestMatchesRunDecodeFacade)
     TracedRequest req;
     req.id = 0;
     req.arrival_s = 0.5e-3;
-    req.workload = w;
+    req.workload = {w.summarize_len, w.generate_len};
+    req.tmpl = tinyTemplate();
     req.seed = seed;
     const ServeReport r = serve({req}, ContinuousBatchConfig{});
     ASSERT_EQ(r.requests.size(), 1u);
@@ -925,6 +924,81 @@ TEST(ContinuousScheduler, SingleIdleRequestMatchesRunDecodeFacade)
                 1e-12);
     EXPECT_NEAR(s.finish_s, req.arrival_s + direct.result.seconds, 1e-12);
     EXPECT_NEAR(s.service_seconds, direct.result.seconds, 1e-15);
+}
+
+/// What a finished record's result must match bit for bit.
+void
+expectSameSim(const RunResult& a, const RunResult& b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.seconds, b.seconds);
+    EXPECT_EQ(a.dram_bytes, b.dram_bytes);
+    EXPECT_EQ(a.attention_flops, b.attention_flops);
+    EXPECT_EQ(a.energy.totalJ(), b.energy.totalJ());
+    EXPECT_TRUE(a.stats.sameValues(b.stats));
+}
+
+// Requests of one trace may point at different templates (quickstart
+// mixes two policies): each must be served under its own model and
+// policy, exactly as a one-request trace of that template is, not
+// under a neighbour's. Equal lengths and seeds leave the template as
+// the only difference between requests.
+TEST(ContinuousScheduler, MixedTemplatesServeEachRequestUnderItsOwn)
+{
+    const ModelSpec models[] = {tinyModel(), {"tiny-deep", 6, 4, 64, 4}};
+    const PruningPolicy policies[] = {PruningPolicy{},
+                                      PruningPolicy::disabled()};
+    std::vector<std::shared_ptr<const RequestTemplate>> templates;
+    for (const ModelSpec& m : models)
+        for (const PruningPolicy& p : policies)
+            templates.push_back(std::make_shared<const RequestTemplate>(
+                RequestTemplate{m, p}));
+
+    std::vector<TracedRequest> trace(2 * templates.size());
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        trace[i].id = i;
+        trace[i].arrival_s = 1e-6 * static_cast<double>(i);
+        trace[i].workload = {64, 4};
+        trace[i].tmpl = templates[i % templates.size()];
+        trace[i].seed = 21;
+    }
+    const ServeReport mixed = serve(trace, ContinuousBatchConfig{});
+    ASSERT_EQ(mixed.requests.size(), trace.size());
+
+    std::vector<RunResult> solo;
+    for (std::size_t k = 0; k < templates.size(); ++k) {
+        const ServeReport one = serve({trace[k]}, ContinuousBatchConfig{});
+        ASSERT_EQ(one.requests.size(), 1u);
+        solo.push_back(one.requests.front().sim);
+        for (std::size_t j = 0; j < k; ++j)
+            EXPECT_NE(solo[j].dram_bytes, solo[k].dram_bytes)
+                << "templates " << j << " and " << k
+                << " must serve differently";
+    }
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        SCOPED_TRACE("request " + std::to_string(i));
+        const ServedRequest& r = mixed.requests[i];
+        ASSERT_EQ(r.phase, RequestPhase::Finished);
+        expectSameSim(r.sim, solo[i % templates.size()]);
+    }
+}
+
+// A request without a template serves under WorkloadSpec's and
+// PruningPolicy's defaults, as a default-built request always did.
+TEST(ContinuousScheduler, DefaultConstructedRequestServesUnderDefaults)
+{
+    const TracedRequest req;
+    const ServeReport r = serve({req}, ContinuousBatchConfig{});
+    ASSERT_EQ(r.requests.size(), 1u);
+    ASSERT_EQ(r.requests.front().phase, RequestPhase::Finished);
+
+    const SpAttenAccelerator accel;
+    const auto session =
+        accel.makeSession(WorkloadSpec{}, PruningPolicy{}, req.seed);
+    session->prefill();
+    while (!session->done())
+        session->decodeStep();
+    expectSameSim(r.requests.front().sim, session->finalize());
 }
 
 // ---------------------------------------------------------------------

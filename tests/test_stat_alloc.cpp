@@ -11,9 +11,15 @@
 /// are bit-equal share one value block, so the report's stat bytes
 /// follow the trace's distinct request shapes, not its length.
 ///
-/// A shared-prefix trace keeps its prompt content as (start, seed)
-/// runs, so what it retains per request does not grow with the prompts,
-/// and the KV pool walks a prompt's block chain in reused scratch.
+/// A served record's RunResult holds no copy of its request's name,
+/// so copying it allocates nothing at all.
+///
+/// A trace request stores only its own data and points at one shared
+/// template, so generating or copying a trace costs its vector, not an
+/// allocation per request. A shared-prefix trace keeps its prompt
+/// content as (start, seed) runs, so what it retains per request does
+/// not grow with the prompts, and the KV pool walks a prompt's block
+/// chain in reused scratch.
 ///
 /// The binary replaces the global operator new with a counting one, so
 /// it lives alone rather than in a shared test executable.
@@ -21,6 +27,7 @@
 
 #include <malloc.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
@@ -31,6 +38,7 @@
 
 #include "accel/decode_session.hpp"
 #include "accel/spatten_accelerator.hpp"
+#include "baselines/baseline_backends.hpp"
 #include "serve/accelerator_backend.hpp"
 #include "serve/continuous_batch_scheduler.hpp"
 #include "serve/kv_pool.hpp"
@@ -268,16 +276,15 @@ class FlatBackend final : public AcceleratorBackend
 // double per pooled gap (the sorted gap array this replaced).
 TEST(ServeAlloc, RunHighWaterStaysFarBelowAPooledGapCopy)
 {
-    WorkloadSpec w;
-    w.name = "flat";
-    w.model = {"tiny", 4, 4, 64, 4};
-    w.summarize_len = 32;
-    w.generate_len = 257;
+    const RequestShape w{32, 257};
+    const auto tiny = std::make_shared<const RequestTemplate>(
+        RequestTemplate{{"tiny", 4, 4, 64, 4}, PruningPolicy{}});
     std::vector<TracedRequest> trace(2048);
     for (std::size_t i = 0; i < trace.size(); ++i) {
         trace[i].id = i;
         trace[i].arrival_s = 1e-6 * static_cast<double>(i);
         trace[i].workload = w;
+        trace[i].tmpl = tiny;
         trace[i].seed = i;
     }
     ContinuousBatchConfig sc;
@@ -314,13 +321,13 @@ TEST(ServeAlloc, RecordsWithEqualStatsShareOneBlock)
 {
     const std::array<std::pair<std::size_t, std::size_t>, 3> shapes = {
         {{32, 2}, {48, 3}, {32, 4}}};
+    const auto tiny = std::make_shared<const RequestTemplate>(
+        RequestTemplate{{"tiny", 4, 4, 64, 4}, PruningPolicy{}});
     std::vector<TracedRequest> trace(96);
     for (std::size_t i = 0; i < trace.size(); ++i) {
-        WorkloadSpec& w = trace[i].workload;
-        w.name = "tiny";
-        w.model = {"tiny", 4, 4, 64, 4};
-        w.summarize_len = shapes[i % shapes.size()].first;
-        w.generate_len = shapes[i % shapes.size()].second;
+        trace[i].workload = {shapes[i % shapes.size()].first,
+                             shapes[i % shapes.size()].second};
+        trace[i].tmpl = tiny;
         trace[i].id = i;
         trace[i].arrival_s = 1e-5 * static_cast<double>(i);
         trace[i].seed = i;
@@ -338,7 +345,8 @@ TEST(ServeAlloc, RecordsWithEqualStatsShareOneBlock)
         const StatSet& stats = req.sim.stats;
         ASSERT_GE(stats.all().size(), 37u);
         const TracedRequest& t = trace[i];
-        const auto session = accel->makeSession(t.workload, t.policy, t.seed);
+        const auto session =
+            accel->makeSession(t.sessionSpec(), t.policy(), t.seed);
         session->prefill();
         while (!session->done())
             session->decodeStep();
@@ -364,6 +372,114 @@ TEST(ServeAlloc, RecordsWithEqualStatsShareOneBlock)
     EXPECT_LE(freed, shapes.size() * (values * sizeof(double) + 64))
         << freed << " B of stats kept by " << r.requests.size()
         << " records of " << shapes.size() << " shapes";
+}
+
+// The scheduler opens sessions with an unnamed spec, so no served
+// record holds a copy of its request's name: copying a record's result,
+// SpAtten's or a baseline's, shares the stat block and allocates
+// nothing. The name stays readable from the trace.
+TEST(ServeAlloc, CopyingAServedRecordsResultAllocatesNothing)
+{
+    ArrivalTraceConfig tc;
+    tc.num_requests = 8;
+    tc.model = {"tiny", 4, 4, 64, 4};
+    tc.min_prompt = 32;
+    tc.max_prompt = 64;
+    tc.min_output = 2;
+    tc.max_output = 4;
+    std::vector<TracedRequest> trace = generateArrivalTrace(tc);
+    // Names past the small-string buffer, so a copied name would show.
+    const auto named = std::make_shared<const RequestTemplate>(
+        RequestTemplate{tc.model, tc.policy, false, "served-record", true});
+    for (TracedRequest& t : trace)
+        t.tmpl = named;
+    ContinuousBatchConfig sc;
+    sc.shard = ShardPolicy::RoundRobin;
+    const ServeReport r =
+        ContinuousBatchScheduler(
+            AcceleratorFleet{std::make_shared<const SpAttenAccelerator>(),
+                             std::make_shared<const A3Backend>()},
+            sc)
+            .run(trace);
+    ASSERT_EQ(r.requests.size(), trace.size());
+    bool served_by[2] = {false, false};
+    for (std::size_t i = 0; i < r.requests.size(); ++i) {
+        const ServedRequest& req = r.requests[i];
+        ASSERT_EQ(req.phase, RequestPhase::Finished);
+        served_by[req.accel] = true;
+        EXPECT_TRUE(req.sim.workload.empty()) << "request " << i;
+        EXPECT_EQ(copyAllocations(req.sim), 0u) << "request " << i;
+        ASSERT_GE(trace[i].name().size(), 16u);
+    }
+    EXPECT_TRUE(served_by[0] && served_by[1]);
+}
+
+/// Heap allocations made by @p gen().
+template <class Gen>
+std::size_t
+allocationsOf(Gen&& gen)
+{
+    const std::size_t before = g_allocations.load();
+    gen();
+    return g_allocations.load() - before;
+}
+
+// A generated request points at its trace's one template and computes
+// its name when read, so a trace of any length allocates its vector
+// and its template: no heap name, model or policy per request.
+TEST(TraceAlloc, GeneratingATraceAllocatesNothingPerRequest)
+{
+    ArrivalTraceConfig tc;
+    tc.num_requests = 4096;
+    tc.process = ArrivalProcess::OnOffBurst;
+    tc.prompt_dist = PromptLengthDist::BoundedPareto;
+    tc.priority_levels = 3;
+    EXPECT_LE(allocationsOf([&] { return generateArrivalTrace(tc); }), 4u);
+    DiurnalTraceConfig dc;
+    dc.base.num_requests = 4096;
+    EXPECT_LE(allocationsOf([&] { return generateDiurnalTrace(dc); }), 4u);
+}
+
+// A shared-prefix trace adds one run list per conversation (its shared
+// block and its exact-size storage) and a constant of scratch.
+TEST(TraceAlloc, SharedPrefixTraceAllocatesOneRunListPerConversation)
+{
+    SharedPrefixTraceConfig sp;
+    sp.base.num_requests = 4096;
+    sp.followup_prob = 0.5;
+    std::vector<TracedRequest> trace;
+    const std::size_t allocations = allocationsOf(
+        [&] { trace = generateSharedPrefixTrace(sp); });
+    std::vector<const PromptTokens::Runs*> lists;
+    for (const TracedRequest& r : trace)
+        lists.push_back(r.prompt_tokens.runs().get());
+    std::sort(lists.begin(), lists.end());
+    const std::size_t conversations =
+        static_cast<std::size_t>(std::unique(lists.begin(), lists.end()) -
+                                 lists.begin());
+    ASSERT_GT(conversations, 64u);
+    ASSERT_LT(conversations, trace.size());
+    EXPECT_LE(allocations, 2 * conversations + 16)
+        << allocations << " allocations for " << conversations
+        << " conversations of " << trace.size() << " requests";
+}
+
+// Templates and prompt run lists are shared, so a copy of a trace
+// allocates only its own vector.
+TEST(TraceAlloc, CopyingATraceAllocatesOnlyItsVector)
+{
+    ArrivalTraceConfig tc;
+    tc.num_requests = 4096;
+    const std::vector<TracedRequest> plain = generateArrivalTrace(tc);
+    SharedPrefixTraceConfig sp;
+    sp.base.num_requests = 4096;
+    const std::vector<TracedRequest> prefixed = generateSharedPrefixTrace(sp);
+    for (const std::vector<TracedRequest>* trace : {&plain, &prefixed}) {
+        std::vector<TracedRequest> copy;
+        EXPECT_EQ(allocationsOf([&] { copy = *trace; }), 1u);
+        ASSERT_EQ(copy.size(), trace->size());
+        EXPECT_EQ(copy.back().name(), trace->back().name());
+    }
 }
 
 // tryReservePrefix walks the prompt's block chain in pool-owned

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "workload/arrival_trace.hpp"
@@ -177,6 +178,56 @@ TEST(CopyLmTask, DeterministicWithSeed)
 // ---------------------------------------------------------------------
 // Arrival-trace generator: edge cases and distribution modes
 // ---------------------------------------------------------------------
+
+// A request stores its own data only; model, policy and name kind live
+// in the trace's shared template (the request was 256 B with them).
+static_assert(sizeof(TracedRequest) <= 96,
+              "TracedRequest must hold per-request data only");
+
+TEST(TracedRequestTemplate, OneTemplatePerTraceAndNamesComputedWhenRead)
+{
+    ArrivalTraceConfig tc;
+    tc.num_requests = 16;
+    tc.model = ModelSpec::gpt2Medium();
+    tc.policy = PruningPolicy::disabled();
+    const auto trace = generateArrivalTrace(tc);
+    for (const TracedRequest& r : trace) {
+        EXPECT_EQ(r.tmpl, trace.front().tmpl);
+        EXPECT_EQ(r.model().name, "gpt2-medium");
+        EXPECT_FALSE(r.policy().token_pruning);
+        EXPECT_EQ(r.name(), "trace-" + std::to_string(r.id) + "-p" +
+                                std::to_string(r.workload.summarize_len) +
+                                "-g" +
+                                std::to_string(r.workload.generate_len));
+        const WorkloadSpec w = r.sessionSpec();
+        EXPECT_TRUE(w.name.empty());
+        EXPECT_EQ(w.model.num_layers, tc.model.num_layers);
+        EXPECT_EQ(w.summarize_len, r.workload.summarize_len);
+        EXPECT_EQ(w.generate_len, r.workload.generate_len);
+        EXPECT_FALSE(w.skip_summarization);
+    }
+
+    SharedPrefixTraceConfig sp;
+    sp.base.num_requests = 8;
+    const auto prefixed = generateSharedPrefixTrace(sp);
+    EXPECT_NE(prefixed.front().tmpl, nullptr);
+    for (const TracedRequest& r : prefixed) {
+        EXPECT_EQ(r.tmpl, prefixed.front().tmpl);
+        EXPECT_EQ(r.name().rfind("prefix-" + std::to_string(r.id) + "-p" +
+                                     std::to_string(r.workload.summarize_len),
+                                 0),
+                  0u);
+    }
+
+    // No template reads WorkloadSpec's and PruningPolicy's defaults.
+    const TracedRequest bare;
+    EXPECT_EQ(bare.tmpl, nullptr);
+    EXPECT_EQ(bare.name(), WorkloadSpec{}.name);
+    EXPECT_EQ(bare.model().name, ModelSpec{}.name);
+    EXPECT_EQ(bare.policy().token_avg_ratio, PruningPolicy{}.token_avg_ratio);
+    EXPECT_EQ(bare.workload.summarize_len, WorkloadSpec{}.summarize_len);
+    EXPECT_EQ(bare.workload.generate_len, WorkloadSpec{}.generate_len);
+}
 
 TEST(ArrivalTraceGen, DegenerateMinEqualsMaxBounds)
 {
@@ -648,8 +699,9 @@ traceDigest(const std::vector<TracedRequest>& trace)
         std::uint64_t bits = 0;
         std::memcpy(&bits, &r.arrival_s, sizeof bits);
         fold(bits);
-        fold(r.workload.name.size());
-        for (const char c : r.workload.name)
+        const std::string name = r.name();
+        fold(name.size());
+        for (const char c : name)
             fold(static_cast<unsigned char>(c));
         fold(r.workload.summarize_len);
         fold(r.workload.generate_len);
