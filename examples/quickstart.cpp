@@ -85,7 +85,7 @@ main()
     //    run the SpAtten policy, the third runs dense.
     const auto templateOf = [&workload](const PruningPolicy& p) {
         return std::make_shared<const RequestTemplate>(RequestTemplate{
-            workload.model, p, workload.skip_summarization, workload.name});
+            workload.model, p, workload.skip_summarization});
     };
     const auto sparse = templateOf(policy);
     const auto unpruned = templateOf(PruningPolicy::disabled());

@@ -41,7 +41,7 @@ boundedParetoDraw(Prng& prng, std::size_t lo, std::size_t hi,
 
 /**
  * Arrival trace under @p cfg whose requests all point at one template
- * of cfg.model and cfg.policy, names numbered after @p kind.
+ * of cfg.model and cfg.policy, named "<kind>-<id>-p<prompt>-g<output>".
  */
 std::vector<TracedRequest>
 arrivalTrace(const ArrivalTraceConfig& cfg, const char* kind)
@@ -62,7 +62,7 @@ arrivalTrace(const ArrivalTraceConfig& cfg, const char* kind)
         SPATTEN_ASSERT(cfg.pareto_alpha > 0, "bad Pareto shape");
 
     const auto tmpl = std::make_shared<const RequestTemplate>(
-        RequestTemplate{cfg.model, cfg.policy, false, kind, true});
+        RequestTemplate{cfg.model, cfg.policy, false, kind});
     Prng prng(cfg.seed);
     std::vector<TracedRequest> trace;
     trace.reserve(cfg.num_requests);
@@ -123,8 +123,6 @@ std::string
 TracedRequest::name() const
 {
     const RequestTemplate& t = requestTemplate();
-    if (!t.numbered)
-        return t.name;
     // "-<id>-p<prompt>-g<output>": three 20-digit numbers and four
     // separator characters, formatted on the stack and appended once.
     char buf[3 * 20 + 4];
@@ -141,8 +139,8 @@ TracedRequest::name() const
     sep("-g");
     p = std::to_chars(p, end, workload.generate_len).ptr;
     std::string name;
-    name.reserve(t.name.size() + static_cast<std::size_t>(p - buf));
-    name.append(t.name).append(buf, p);
+    name.reserve(t.kind.size() + static_cast<std::size_t>(p - buf));
+    name.append(t.kind).append(buf, p);
     return name;
 }
 

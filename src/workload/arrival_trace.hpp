@@ -18,7 +18,7 @@
  *
  * A request stores only what is its own: lengths, arrival, seed,
  * priority and a view of its prompt content. What a whole trace shares
- * (model, policy, how names read) lives once in an immutable
+ * (model, policy, the name kind) lives once in an immutable
  * RequestTemplate every request points at, and a request's name is
  * computed when read, so a generated trace costs 88 B and no heap
  * allocation per request.
@@ -48,10 +48,9 @@ struct RequestTemplate
     PruningPolicy policy;
     /// Pre-summarized prompts (WorkloadSpec::skip_summarization).
     bool skip_summarization = false;
-    /// A request's name: this alone, or, when numbered,
-    /// "<name>-<id>-p<prompt>-g<output>" (the generators' "trace-12-p193-g13").
-    std::string name = "workload";
-    bool numbered = false;
+    /// A request's name is "<kind>-<id>-p<prompt>-g<output>" (the
+    /// generators' "trace-12-p193-g13" and "prefix-…").
+    std::string kind = "trace";
 
     /** The template a request without one reads: WorkloadSpec's and
      *  PruningPolicy's defaults. */

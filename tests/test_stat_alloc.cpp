@@ -390,7 +390,7 @@ TEST(ServeAlloc, CopyingAServedRecordsResultAllocatesNothing)
     std::vector<TracedRequest> trace = generateArrivalTrace(tc);
     // Names past the small-string buffer, so a copied name would show.
     const auto named = std::make_shared<const RequestTemplate>(
-        RequestTemplate{tc.model, tc.policy, false, "served-record", true});
+        RequestTemplate{tc.model, tc.policy, false, "served-record"});
     for (TracedRequest& t : trace)
         t.tmpl = named;
     ContinuousBatchConfig sc;

@@ -219,10 +219,11 @@ TEST(TracedRequestTemplate, OneTemplatePerTraceAndNamesComputedWhenRead)
                   0u);
     }
 
-    // No template reads WorkloadSpec's and PruningPolicy's defaults.
+    // No template reads WorkloadSpec's and PruningPolicy's defaults,
+    // named like a generated request.
     const TracedRequest bare;
     EXPECT_EQ(bare.tmpl, nullptr);
-    EXPECT_EQ(bare.name(), WorkloadSpec{}.name);
+    EXPECT_EQ(bare.name(), "trace-0-p128-g0");
     EXPECT_EQ(bare.model().name, ModelSpec{}.name);
     EXPECT_EQ(bare.policy().token_avg_ratio, PruningPolicy{}.token_avg_ratio);
     EXPECT_EQ(bare.workload.summarize_len, WorkloadSpec{}.summarize_len);
