@@ -6,54 +6,16 @@
 
 namespace spatten {
 
-namespace {
-
-std::uint64_t
-splitmix64(std::uint64_t& x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 void
 Prng::reseed(std::uint64_t seed)
 {
+    // splitmix64: the i-th output is mix64 of the seed advanced i steps.
     std::uint64_t sm = seed;
-    for (auto& s : state_)
-        s = splitmix64(sm);
+    for (auto& s : state_) {
+        s = mix64(sm);
+        sm += 0x9e3779b97f4a7c15ULL;
+    }
     has_spare_ = false;
-}
-
-std::uint64_t
-Prng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-double
-Prng::uniform()
-{
-    // 53 random mantissa bits -> [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -62,17 +24,10 @@ Prng::uniform(double lo, double hi)
     return lo + (hi - lo) * uniform();
 }
 
-std::uint64_t
-Prng::below(std::uint64_t n)
+Prng::Bound::Bound(std::uint64_t n) : n_(n)
 {
     SPATTEN_ASSERT(n > 0, "below(0) is ill-defined");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t limit = max() - max() % n;
-    std::uint64_t x;
-    do {
-        x = next();
-    } while (x >= limit);
-    return x % n;
+    limit_ = max() - max() % n;
 }
 
 std::int64_t
@@ -80,9 +35,14 @@ Prng::range(std::int64_t lo, std::int64_t hi)
 {
     SPATTEN_ASSERT(lo <= hi, "range(%lld, %lld) is empty",
                    static_cast<long long>(lo), static_cast<long long>(hi));
+    // Unsigned: hi - lo overflows int64 for spans past INT64_MAX, and
+    // the full range's span of 2^64 wraps to 0.
     const std::uint64_t span =
-        static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(below(span));
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+    if (span == 0)
+        return static_cast<std::int64_t>(next());
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                     below(span));
 }
 
 double

@@ -36,11 +36,29 @@ mix64(std::uint64_t x)
  * xoshiro256** PRNG. Satisfies the UniformRandomBitGenerator concept so it
  * can be used with <random> distributions, but the helpers below are
  * preferred because their output is stable across standard libraries.
+ * The raw step and uniform() are inline: trace generators draw several
+ * values per request and a call per draw costs as much as the draw.
  */
 class Prng
 {
   public:
     using result_type = std::uint64_t;
+
+    /**
+     * A below() bound with its rejection limit computed once, for loops
+     * that draw many values under one bound (a trace's output lengths).
+     */
+    class Bound
+    {
+      public:
+        /** @pre n > 0. */
+        explicit Bound(std::uint64_t n);
+
+      private:
+        friend class Prng;
+        std::uint64_t n_;
+        std::uint64_t limit_; ///< Raw draws at or above it are rejected.
+    };
 
     explicit Prng(std::uint64_t seed = 0x5eed5eedULL) { reseed(seed); }
 
@@ -54,15 +72,30 @@ class Prng
     result_type operator()() { return next(); }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double uniform()
+    {
+        // 53 random mantissa bits -> [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
 
-    /** Uniform integer in [0, n). @pre n > 0. */
-    std::uint64_t below(std::uint64_t n);
+    /** Uniform integer in [0, n) for the bound's n: rejection sampling
+     *  against its limit avoids modulo bias. */
+    std::uint64_t below(const Bound& bound)
+    {
+        std::uint64_t x = next();
+        while (x >= bound.limit_)
+            x = next();
+        return x % bound.n_;
+    }
 
-    /** Uniform integer in [lo, hi] inclusive. */
+    /** Uniform integer in [0, n). @pre n > 0. */
+    std::uint64_t below(std::uint64_t n) { return below(Bound(n)); }
+
+    /** Uniform integer in [lo, hi] inclusive; the full int64 range is
+     *  one raw draw. */
     std::int64_t range(std::int64_t lo, std::int64_t hi);
 
     /** Standard normal via Box-Muller (stable across platforms). */
@@ -75,7 +108,23 @@ class Prng
     bool chance(double p) { return uniform() < p; }
 
   private:
-    std::uint64_t next();
+    static constexpr std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
+    std::uint64_t next()
+    {
+        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+        return result;
+    }
 
     std::uint64_t state_[4];
     bool has_spare_ = false;

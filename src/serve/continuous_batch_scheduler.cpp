@@ -12,6 +12,8 @@
 #include <numeric>
 #include <thread>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "serve/accelerator_backend.hpp"
@@ -233,12 +235,25 @@ kvBudgetForWorstRequest(const std::vector<TracedRequest>& trace,
                         const ContinuousBatchConfig& sched,
                         std::size_t kv_bytes_per_elem)
 {
+    // bytesForTokens is monotone in tokens, so a template's worst
+    // request is its longest: one byte count per distinct template.
+    std::vector<std::pair<const RequestTemplate*, std::size_t>> longest;
+    for (const TracedRequest& r : trace) {
+        const RequestTemplate* t = &r.requestTemplate();
+        const std::size_t tokens =
+            r.workload.summarize_len + r.workload.generate_len;
+        const auto it = std::find_if(
+            longest.begin(), longest.end(),
+            [t](const auto& e) { return e.first == t; });
+        if (it == longest.end())
+            longest.emplace_back(t, tokens);
+        else
+            it->second = std::max(it->second, tokens);
+    }
     const KvPool probe({0, sched.kv_block_tokens, kv_bytes_per_elem});
     std::uint64_t worst = 0;
-    for (const TracedRequest& r : trace)
-        worst = std::max(worst, probe.bytesForTokens(
-                                    r.model(), r.workload.summarize_len +
-                                                   r.workload.generate_len));
+    for (const auto& [t, tokens] : longest)
+        worst = std::max(worst, probe.bytesForTokens(t->model, tokens));
     return static_cast<std::uint64_t>(static_cast<double>(worst) *
                                       headroom);
 }

@@ -20,31 +20,54 @@ expDraw(Prng& prng, double mean)
 }
 
 /**
- * Bounded Pareto draw over [lo, hi] with shape alpha (inverse CDF of
+ * Bounded Pareto draws over [lo, hi] with shape alpha (inverse CDF of
  * the Pareto truncated at hi): heavy-tailed but never out of bounds.
+ * The inverse CDF's constants are computed once per trace; lo == hi
+ * consumes no draw.
  */
-std::size_t
-boundedParetoDraw(Prng& prng, std::size_t lo, std::size_t hi,
-                  double alpha)
+class BoundedPareto
 {
-    if (lo == hi)
-        return lo;
-    const double l = static_cast<double>(lo);
-    const double h = static_cast<double>(hi);
-    const double u = prng.uniform();
-    const double ratio = std::pow(l / h, alpha);
-    const double x =
-        l / std::pow(1.0 - u * (1.0 - ratio), 1.0 / alpha);
-    const auto v = static_cast<std::size_t>(std::llround(x));
-    return std::clamp(v, lo, hi);
-}
+  public:
+    BoundedPareto(std::size_t lo, std::size_t hi, double alpha)
+        : lo_(lo), hi_(hi), l_(static_cast<double>(lo)),
+          span_(1.0 - std::pow(l_ / static_cast<double>(hi), alpha)),
+          inv_alpha_(1.0 / alpha)
+    {
+    }
+
+    std::size_t operator()(Prng& prng) const
+    {
+        if (lo_ == hi_)
+            return lo_;
+        const double u = prng.uniform();
+        const double x = l_ / std::pow(1.0 - u * span_, inv_alpha_);
+        const auto v = static_cast<std::size_t>(std::llround(x));
+        return std::clamp(v, lo_, hi_);
+    }
+
+  private:
+    std::size_t lo_, hi_;
+    double l_;         ///< lo as a double.
+    double span_;      ///< 1 - (lo/hi)^alpha: the CDF mass below hi.
+    double inv_alpha_; ///< 1 / alpha.
+};
+
+/** What an arrival trace does with its arrival-time draws. */
+enum class Arrivals
+{
+    Kept,
+    /// Consumed without their log: a caller that re-draws every
+    /// arrival (the diurnal trace) keeps only the streams' positions.
+    Discarded,
+};
 
 /**
  * Arrival trace under @p cfg whose requests all point at one template
  * of cfg.model and cfg.policy, named "<kind>-<id>-p<prompt>-g<output>".
  */
 std::vector<TracedRequest>
-arrivalTrace(const ArrivalTraceConfig& cfg, const char* kind)
+arrivalTrace(const ArrivalTraceConfig& cfg, const char* kind,
+             Arrivals arrivals = Arrivals::Kept)
 {
     SPATTEN_ASSERT(cfg.mean_interarrival_s > 0, "bad interarrival mean");
     SPATTEN_ASSERT(cfg.min_prompt >= 1 && cfg.min_prompt <= cfg.max_prompt,
@@ -54,58 +77,59 @@ arrivalTrace(const ArrivalTraceConfig& cfg, const char* kind)
                    "bad output bounds [%zu, %zu]", cfg.min_output,
                    cfg.max_output);
     SPATTEN_ASSERT(cfg.priority_levels >= 1, "no priority levels");
-    if (cfg.process == ArrivalProcess::OnOffBurst) {
+    const bool bursty = cfg.process == ArrivalProcess::OnOffBurst;
+    if (bursty) {
         SPATTEN_ASSERT(cfg.burst_on_mean_s > 0 && cfg.burst_off_mean_s > 0,
                        "bad burst period means");
     }
-    if (cfg.prompt_dist == PromptLengthDist::BoundedPareto)
+    const bool pareto_prompts =
+        cfg.prompt_dist == PromptLengthDist::BoundedPareto;
+    if (pareto_prompts)
         SPATTEN_ASSERT(cfg.pareto_alpha > 0, "bad Pareto shape");
 
     const auto tmpl = std::make_shared<const RequestTemplate>(
         RequestTemplate{cfg.model, cfg.policy, false, kind});
+    const BoundedPareto pareto(cfg.min_prompt, cfg.max_prompt,
+                               cfg.pareto_alpha);
+    const Prng::Bound prompts(cfg.max_prompt - cfg.min_prompt + 1);
+    const Prng::Bound outputs(cfg.max_output - cfg.min_output + 1);
+    const Prng::Bound priorities(cfg.priority_levels);
     Prng prng(cfg.seed);
     std::vector<TracedRequest> trace;
     trace.reserve(cfg.num_requests);
     double t = 0.0;
     // Remaining length of the current ON period (OnOffBurst only).
-    double on_left = cfg.process == ArrivalProcess::OnOffBurst
-                         ? expDraw(prng, cfg.burst_on_mean_s)
-                         : 0.0;
+    double on_left = bursty ? expDraw(prng, cfg.burst_on_mean_s) : 0.0;
     for (std::size_t i = 0; i < cfg.num_requests; ++i) {
-        double gap = expDraw(prng, cfg.mean_interarrival_s);
-        if (cfg.process == ArrivalProcess::OnOffBurst) {
-            // Consume the gap from ON time only; every ON/OFF boundary
-            // crossed inserts an exponential silence.
-            while (gap > on_left) {
-                gap -= on_left;
-                t += on_left + expDraw(prng, cfg.burst_off_mean_s);
-                on_left = expDraw(prng, cfg.burst_on_mean_s);
+        if (arrivals == Arrivals::Discarded) {
+            prng();
+        } else {
+            double gap = expDraw(prng, cfg.mean_interarrival_s);
+            if (bursty) {
+                // Consume the gap from ON time only; every ON/OFF
+                // boundary crossed inserts an exponential silence.
+                while (gap > on_left) {
+                    gap -= on_left;
+                    t += on_left + expDraw(prng, cfg.burst_off_mean_s);
+                    on_left = expDraw(prng, cfg.burst_on_mean_s);
+                }
+                on_left -= gap;
             }
-            on_left -= gap;
+            t += gap;
         }
-        t += gap;
 
-        const std::size_t prompt =
-            cfg.prompt_dist == PromptLengthDist::BoundedPareto
-                ? boundedParetoDraw(prng, cfg.min_prompt, cfg.max_prompt,
-                                    cfg.pareto_alpha)
-                : cfg.min_prompt +
-                      prng.below(cfg.max_prompt - cfg.min_prompt + 1);
-        const std::size_t output =
-            cfg.min_output +
-            prng.below(cfg.max_output - cfg.min_output + 1);
-
-        TracedRequest& req = trace.emplace_back();
-        req.id = i;
-        req.arrival_s = t;
-        req.workload = {prompt, output};
-        req.tmpl = tmpl;
-        req.seed = prng();
+        const std::size_t prompt = pareto_prompts
+                                       ? pareto(prng)
+                                       : cfg.min_prompt + prng.below(prompts);
+        const std::size_t output = cfg.min_output + prng.below(outputs);
+        const std::uint64_t seed = prng();
         // Guarded draw: priority_levels == 1 consumes no PRNG state, so
         // pre-priority traces replay bit-identically from the same seed.
-        if (cfg.priority_levels > 1)
-            req.priority =
-                static_cast<int>(prng.below(cfg.priority_levels));
+        const int priority =
+            cfg.priority_levels > 1
+                ? static_cast<int>(prng.below(priorities))
+                : 0;
+        trace.push_back({i, t, {prompt, output}, tmpl, seed, priority, {}});
     }
     return trace;
 }
@@ -171,8 +195,14 @@ generateDiurnalTrace(const DiurnalTraceConfig& cfg)
     SPATTEN_ASSERT(cfg.amplitude >= 0.0 && cfg.amplitude < 1.0,
                    "amplitude %f outside [0, 1)", cfg.amplitude);
 
+    // Every arrival is re-drawn below, so the base's burst process
+    // would be silently ignored.
+    SPATTEN_ASSERT(cfg.base.process == ArrivalProcess::Poisson,
+                   "a diurnal trace needs a Poisson base process");
+
     // Attributes (shapes, priorities, seeds): the exact base streams.
-    std::vector<TracedRequest> trace = generateArrivalTrace(cfg.base);
+    std::vector<TracedRequest> trace =
+        arrivalTrace(cfg.base, "trace", Arrivals::Discarded);
     // Arrival times run on their own stream so the demand *shape* never
     // shifts when the diurnal knobs change.
     Prng prng(mix64(cfg.base.seed ^ 0x646975726e616cULL)); // "diurnal"

@@ -204,8 +204,10 @@ struct SharedPrefixTraceConfig
 struct DiurnalTraceConfig
 {
     /// Request shapes, model/policy, seed, and the *day-average* rate
-    /// (1 / mean_interarrival_s). The base arrival draws are consumed
-    /// (stream compatibility) but overridden by the diurnal process.
+    /// (1 / mean_interarrival_s). process must be Poisson (asserted):
+    /// the diurnal process re-draws every arrival, so the burst knobs
+    /// would have no effect. The base's one gap draw per request is
+    /// consumed (stream compatibility) but never used.
     ArrivalTraceConfig base;
     /// Length of one day/night cycle in simulated seconds. Day-scale
     /// benches compress the wall day: what matters to the scheduler is

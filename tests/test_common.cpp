@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <set>
 
 #include "common/logging.hpp"
@@ -83,6 +87,100 @@ TEST(Prng, RangeInclusive)
     }
     EXPECT_TRUE(saw_lo);
     EXPECT_TRUE(saw_hi);
+}
+
+// Raw output pinned from seed 0x5eed: every trace, prompt and
+// synthetic tensor in the repo is a function of these streams, so a
+// rewrite of the generator (inlining, a faster bounded draw) must
+// reproduce them bit for bit.
+TEST(Prng, RawOutputGolden)
+{
+    const std::uint64_t next[] = {
+        0xef33f17055244b74ULL, 0xe1f591112fb5051bULL, 0xd8ab05640214863aULL,
+        0xf985e1f2fb897b03ULL, 0xaf87a5f7e6ce1408ULL, 0x86f28e3a0746ff9eULL,
+        0x4e1acb1dbe288cacULL, 0x6c13fd25a3155716ULL};
+    const std::uint64_t uniform_bits[] = {
+        0x3fede67e2e0aa489ULL, 0x3fec3eb22225f6a0ULL, 0x3feb1560ac804290ULL,
+        0x3fef30bc3e5f712fULL, 0x3fe5f0f4befcd9c2ULL, 0x3fe0de51c740e8dfULL,
+        0x3fd386b2c76f8a22ULL, 0x3fdb04ff4968c554ULL};
+    Prng raw(0x5eed), uni(0x5eed);
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(raw(), next[i]) << "draw " << i;
+        const double u = uni.uniform();
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &u, sizeof bits);
+        EXPECT_EQ(bits, uniform_bits[i]) << "draw " << i;
+    }
+}
+
+/// Bounds spanning the rejection regimes: none possible (1), rare
+/// (small n, 2^32+1), about half of all draws (2^63+1) and UINT64_MAX.
+const std::uint64_t kBelowBounds[] = {1,
+                                      3,
+                                      17,
+                                      193,
+                                      (1ULL << 32) + 1,
+                                      (1ULL << 63) + 1,
+                                      UINT64_MAX};
+
+TEST(Prng, BelowGolden)
+{
+    const std::uint64_t golden[][8] = {
+        {0, 0, 0, 0, 0, 0, 0, 0},
+        {1, 1, 1, 1, 1, 1, 2, 2},
+        {3, 8, 9, 3, 13, 12, 11, 13},
+        {62, 170, 64, 149, 129, 32, 118, 106},
+        {0x65f05a05ULL, 0x4dbf740bULL, 0x296980d7ULL, 0x02039911ULL,
+         0x37466e11ULL, 0x80547165ULL, 0x700dc18fULL, 0x370159f1ULL},
+        // The first six raw draws of the seed are rejected here.
+        {0x4e1acb1dbe288cacULL, 0x6c13fd25a3155716ULL, 0x2cbcaebe58709106ULL,
+         0x4f5dd53950ae0901ULL, 0x3f4c13e909495775ULL, 0x4cb6620fc1a9525cULL,
+         0x6305ca72e745f365ULL, 0x73c2ea788c42310bULL},
+        {0xef33f17055244b74ULL, 0xe1f591112fb5051bULL, 0xd8ab05640214863aULL,
+         0xf985e1f2fb897b03ULL, 0xaf87a5f7e6ce1408ULL, 0x86f28e3a0746ff9eULL,
+         0x4e1acb1dbe288cacULL, 0x6c13fd25a3155716ULL},
+    };
+    for (std::size_t b = 0; b < std::size(kBelowBounds); ++b) {
+        Prng p(0x5eed);
+        for (int i = 0; i < 8; ++i)
+            EXPECT_EQ(p.below(kBelowBounds[b]), golden[b][i])
+                << "n " << kBelowBounds[b] << " draw " << i;
+    }
+}
+
+TEST(Prng, FixedBoundMatchesBelowDrawForDraw)
+{
+    for (const std::uint64_t n : kBelowBounds) {
+        const Prng::Bound bound(n);
+        Prng a(0xb0), b(0xb0);
+        for (int i = 0; i < 10000; ++i)
+            ASSERT_EQ(a.below(bound), b.below(n)) << "n " << n << " draw " << i;
+        // Same rejections consumed the same raw draws.
+        EXPECT_EQ(a(), b()) << "n " << n;
+    }
+}
+
+TEST(Prng, RangeOverTheFullInt64SpanIsARawDraw)
+{
+    // hi - lo + 1 is 2^64: the span is computed unsigned and wraps to
+    // 0, which means "every value" -- one raw draw, no below(0).
+    constexpr std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+    Prng p(0x5eed), raw(0x5eed);
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(p.range(lo, hi), static_cast<std::int64_t>(raw()));
+    // Spans past INT64_MAX stay in bounds and reach both halves.
+    bool negative = false, positive = false;
+    for (int i = 0; i < 256; ++i) {
+        const std::int64_t x = p.range(lo + 1, hi);
+        EXPECT_GT(x, lo);
+        negative |= x < 0;
+        positive |= x > 0;
+    }
+    EXPECT_TRUE(negative);
+    EXPECT_TRUE(positive);
+    EXPECT_EQ(p.range(hi, hi), hi);
+    EXPECT_EQ(p.range(lo, lo), lo);
 }
 
 TEST(Prng, GaussianMoments)

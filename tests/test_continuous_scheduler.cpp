@@ -662,6 +662,54 @@ cappedConfig(const std::vector<TracedRequest>& trace)
     return sc;
 }
 
+TEST(ContinuousScheduler, WorstRequestBudgetIsThePerRequestMaximum)
+{
+    // Two models interleaved, plus a request on the default template:
+    // the tiny model's requests are the longest, but gpt2's 9x wider
+    // tokens make one of its shorter requests the worst.
+    const auto tiny = generatePoissonTrace(tinyTraceConfig(24, 0xa1));
+    auto gc = tinyTraceConfig(24, 0xa2);
+    gc.model = ModelSpec::gpt2Small();
+    gc.min_prompt = 16;
+    gc.max_prompt = 24;
+    gc.min_output = 1;
+    gc.max_output = 4;
+    const auto gpt2 = generatePoissonTrace(gc);
+    std::vector<TracedRequest> trace;
+    for (std::size_t i = 0; i < tiny.size(); ++i) {
+        trace.push_back(tiny[i]);
+        trace.push_back(gpt2[i]);
+    }
+    TracedRequest bare;
+    bare.workload = {8, 0};
+    trace.push_back(bare);
+
+    for (const std::size_t block : {1u, 4u, 16u}) {
+        ContinuousBatchConfig sc;
+        sc.kv_block_tokens = block;
+        const KvPool probe({0, block, 2});
+        std::uint64_t worst = 0, longest_bytes = 0;
+        std::size_t longest = 0;
+        for (const TracedRequest& r : trace) {
+            const std::size_t tokens =
+                r.workload.summarize_len + r.workload.generate_len;
+            const std::uint64_t bytes = probe.bytesForTokens(r.model(), tokens);
+            worst = std::max(worst, bytes);
+            if (tokens > longest) {
+                longest = tokens;
+                longest_bytes = bytes;
+            }
+        }
+        ASSERT_LT(longest_bytes, worst) << "the longest request must not "
+                                           "be the worst one";
+        EXPECT_EQ(kvBudgetForWorstRequest(trace, 1.0, sc), worst);
+        EXPECT_EQ(kvBudgetForWorstRequest(trace, 1.25, sc),
+                  static_cast<std::uint64_t>(static_cast<double>(worst) *
+                                             1.25));
+    }
+    EXPECT_EQ(kvBudgetForWorstRequest({}, 1.25), 0u);
+}
+
 TEST(ContinuousScheduler, MemoryCappedRunPreemptsAndFinishesEveryone)
 {
     const auto trace = denseSaturatingTrace();

@@ -10,6 +10,7 @@
 #include "accel/spatten_accelerator.hpp"
 #include "accel/topk_engine.hpp"
 #include "baselines/baseline_backends.hpp"
+#include "common/prng.hpp"
 #include "common/tokens.hpp"
 #include "core/attention_ref.hpp"
 #include "core/schedule.hpp"
@@ -19,6 +20,7 @@
 #include "serve/continuous_batch_scheduler.hpp"
 #include "sim/stats.hpp"
 #include "tensor/ops.hpp"
+#include "workload/arrival_trace.hpp"
 
 namespace spatten {
 namespace {
@@ -189,6 +191,25 @@ TEST(FailureInjection, PromptViewReadsOutsideItself)
                                 PromptTokens::Runs{{0, 1}, {4, 2}}),
                             4);
     EXPECT_DEATH(view.at(4), "token 4 of a 4-token prompt view");
+}
+
+TEST(FailureInjection, PrngEmptyBounds)
+{
+    Prng p;
+    // The bound is checked before its rejection limit divides by it.
+    EXPECT_DEATH(Prng::Bound(0), "below\\(0\\) is ill-defined");
+    EXPECT_DEATH(p.below(0), "below\\(0\\) is ill-defined");
+    EXPECT_DEATH(p.range(1, 0), "range\\(1, 0\\) is empty");
+}
+
+TEST(FailureInjection, DiurnalTraceRejectsABurstyBase)
+{
+    // The diurnal process re-draws every arrival, so a bursty base's
+    // ON/OFF knobs would be silently ignored.
+    DiurnalTraceConfig dc;
+    dc.base.num_requests = 4;
+    dc.base.process = ArrivalProcess::OnOffBurst;
+    EXPECT_DEATH(generateDiurnalTrace(dc), "diurnal trace needs a Poisson");
 }
 
 } // namespace

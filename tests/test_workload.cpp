@@ -715,7 +715,7 @@ traceDigest(const std::vector<TracedRequest>& trace)
     return h;
 }
 
-// Pinned digests of three whole traces, so a rewrite of any generator
+// Pinned digests of five whole traces, so a rewrite of any generator
 // (name formatting, content composition, retirement) must reproduce
 // every request bit for bit.
 TEST(TraceIdentity, ArrivalTraceDigestPinned)
@@ -741,6 +741,43 @@ TEST(TraceIdentity, DiurnalTraceDigestPinned)
     const auto trace = generateDiurnalTrace(dc);
     ASSERT_EQ(trace.size(), 2048u);
     EXPECT_EQ(traceDigest(trace), 0x9dcc9254ddb33a28ULL);
+}
+
+TEST(TraceIdentity, FleetMixedShapeDigestPinned)
+{
+    // perfbench's fleet-mixed demand: bursty arrivals, heavy-tailed
+    // prompts, uniform outputs and no priority draw.
+    ArrivalTraceConfig tc;
+    tc.num_requests = 2048;
+    tc.seed = 0xf1;
+    tc.process = ArrivalProcess::OnOffBurst;
+    tc.mean_interarrival_s = 0.4e-3;
+    tc.burst_on_mean_s = 2e-3;
+    tc.burst_off_mean_s = 10e-3;
+    tc.prompt_dist = PromptLengthDist::BoundedPareto;
+    tc.pareto_alpha = 1.2;
+    tc.min_output = 16;
+    tc.max_output = 32;
+    const auto trace = generateArrivalTrace(tc);
+    ASSERT_EQ(trace.size(), 2048u);
+    EXPECT_EQ(traceDigest(trace), 0xcd8a22c439e45b95ULL);
+}
+
+TEST(TraceIdentity, PoissonUniformPromptDigestPinned)
+{
+    // perfbench's dense-long demand: Poisson arrivals, uniform prompts.
+    ArrivalTraceConfig tc;
+    tc.num_requests = 2048;
+    tc.seed = 0xde;
+    tc.mean_interarrival_s = 10e-3;
+    tc.policy = PruningPolicy::disabled();
+    tc.min_prompt = 512;
+    tc.max_prompt = 768;
+    tc.min_output = 4;
+    tc.max_output = 12;
+    const auto trace = generatePoissonTrace(tc);
+    ASSERT_EQ(trace.size(), 2048u);
+    EXPECT_EQ(traceDigest(trace), 0x931b354fe0cec1c9ULL);
 }
 
 TEST(TraceIdentity, SharedPrefixTraceWithRetirementDigestPinned)
