@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "accel/pipeline.hpp"
 #include "serve/continuous_batch_scheduler.hpp"
 
 namespace spatten {
@@ -60,7 +59,7 @@ rule()
     std::printf("--------------------------------------------------------------\n");
 }
 
-/** One perf data point of a bench run. */
+/** One served workload of a serving bench run. */
 struct BenchRecord
 {
     std::string workload;
@@ -69,18 +68,14 @@ struct BenchRecord
     double tflops = 0;         ///< Effective attention TFLOPS.
     double dram_reduction = 1; ///< Dense fp32 bytes / fetched bytes.
 
-    /// Serving-only tail metrics (recordFromServe): emitted as extra
-    /// JSON fields so BENCH_serving.json carries the latency story —
+    /// Tail metrics, so BENCH_serving.json carries the latency story —
     /// chunk-size sweeps read as an ITL-p99 curve, and queue-delay
     /// percentiles make admission latency visible, not just TTFT.
-    /// Single-workload records (recordFromRun) keep
-    /// the legacy five-field schema.
-    bool has_serving = false;
     double ttft_p99_s = 0;
     double itl_p99_s = 0;
     double queue_delay_p50_s = 0;
     double queue_delay_p99_s = 0;
-    /// Prefix-cache / tiered-KV accounting (serving records only):
+    /// Prefix-cache / tiered-KV accounting:
     /// hit-rate numerators plus the cache-churn counters, so the
     /// tiered-vs-flat sweep reads as a hit-rate vs migration-traffic
     /// curve straight out of BENCH_serving.json.
@@ -92,14 +87,6 @@ struct BenchRecord
     double kv_migrated_bytes = 0;
 };
 
-/** The BENCH_*.json record of a single-workload simulation result. */
-inline BenchRecord
-recordFromRun(const std::string& workload, const RunResult& r)
-{
-    return {workload, static_cast<double>(r.cycles), r.seconds,
-            r.effectiveTflops(), r.dramReduction()};
-}
-
 /** The BENCH_*.json record of one ContinuousBatchScheduler run:
  *  makespan-based effective TFLOPS over the whole served trace. */
 inline BenchRecord
@@ -110,7 +97,6 @@ recordFromServe(const std::string& workload, const ServeReport& r)
                         ? r.total_flops / r.makespan_s * 1e-12
                         : 0.0,
                     r.dram_reduction};
-    rec.has_serving = true;
     rec.ttft_p99_s = r.ttft_p99_s;
     rec.itl_p99_s = r.itl_p99_s;
     rec.queue_delay_p50_s = r.queue_delay_p50_s;
@@ -161,26 +147,22 @@ writeBenchJson(const std::string& name,
         std::fprintf(f,
                      "    {\"workload\": \"%s\", \"cycles\": %.0f, "
                      "\"seconds\": %.9g, \"tflops\": %.6g, "
-                     "\"dram_reduction\": %.6g",
+                     "\"dram_reduction\": %.6g, \"ttft_p99_s\": %.9g, "
+                     "\"itl_p99_s\": %.9g, \"queue_delay_p50_s\": %.9g, "
+                     "\"queue_delay_p99_s\": %.9g, "
+                     "\"prefix_cache_hits\": %.0f, "
+                     "\"prefix_cached_tokens\": %.0f, "
+                     "\"kv_evicted_blocks\": %.0f, "
+                     "\"kv_demoted_blocks\": %.0f, "
+                     "\"kv_promoted_blocks\": %.0f, "
+                     "\"kv_migrated_bytes\": %.0f}%s\n",
                      jsonEscape(r.workload).c_str(), r.cycles, r.seconds,
-                     r.tflops, r.dram_reduction);
-        if (r.has_serving)
-            std::fprintf(f,
-                         ", \"ttft_p99_s\": %.9g, \"itl_p99_s\": %.9g, "
-                         "\"queue_delay_p50_s\": %.9g, "
-                         "\"queue_delay_p99_s\": %.9g, "
-                         "\"prefix_cache_hits\": %.0f, "
-                         "\"prefix_cached_tokens\": %.0f, "
-                         "\"kv_evicted_blocks\": %.0f, "
-                         "\"kv_demoted_blocks\": %.0f, "
-                         "\"kv_promoted_blocks\": %.0f, "
-                         "\"kv_migrated_bytes\": %.0f",
-                         r.ttft_p99_s, r.itl_p99_s, r.queue_delay_p50_s,
-                         r.queue_delay_p99_s, r.prefix_cache_hits,
-                         r.prefix_cached_tokens, r.kv_evicted_blocks,
-                         r.kv_demoted_blocks, r.kv_promoted_blocks,
-                         r.kv_migrated_bytes);
-        std::fprintf(f, "}%s\n", i + 1 < records.size() ? "," : "");
+                     r.tflops, r.dram_reduction, r.ttft_p99_s, r.itl_p99_s,
+                     r.queue_delay_p50_s, r.queue_delay_p99_s,
+                     r.prefix_cache_hits, r.prefix_cached_tokens,
+                     r.kv_evicted_blocks, r.kv_demoted_blocks,
+                     r.kv_promoted_blocks, r.kv_migrated_bytes,
+                     i + 1 < records.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -33,7 +33,10 @@ struct BenchmarkSpec
 /** The 22 BERT benchmarks (GLUE x9 + SQuAD x2, Base and Large). */
 std::vector<BenchmarkSpec> bertBenchmarks();
 
-/** The 8 GPT-2 benchmarks (4 LM datasets, Small and Medium). */
+/** The 8 GPT-2 benchmarks (4 LM datasets, Small and Medium). The four
+ *  datasets of each model share one shape (992-token context, 32
+ *  generated tokens, the same policy), so the 8 rows are 2 distinct
+ *  results under 8 names, and a GPT-2 average counts each one 4 times. */
 std::vector<BenchmarkSpec> gptBenchmarks();
 
 /** All 30 benchmarks in the paper's Fig. 14 order. */
