@@ -627,9 +627,9 @@ main()
     // ---- Day-scale diurnal trace: 1e5 requests whose arrival rate
     // follows a sinusoidal day/night cycle (generateDiurnalTrace),
     // served end to end. This is the scenario the simulator perf work
-    // (CSR survivor compaction, HBM fast path, decode-step memo,
-    // batched stage-graph evaluation, O(1) FIFO admission) exists to
-    // open: it must clear in well under a minute of wallclock. ----
+    // (CSR survivor compaction, HBM fast path, decode-step memo, one
+    // decode call per iteration, O(1) FIFO admission) exists to open:
+    // it must clear in well under a minute of wallclock. ----
     std::printf("\nDay-scale diurnal trace (1e5 requests, sinusoidal "
                 "day/night rate, 4 accelerators)\n");
     rule();

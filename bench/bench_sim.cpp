@@ -1,11 +1,11 @@
 /// Simulator host performance: how many simulated decode tokens (and
 /// whole requests) one host CPU-second buys, on the decode-session
 /// scenario the serving layer is made of. The optimized path (CSR
-/// survivor compaction + HBM fast path + steady-state step memo +
-/// batched stage-graph evaluation) is measured against the pre-
-/// optimization path run LIVE on the same machine (reference HBM
-/// serving + memo off), so the recorded speedup is container-invariant
-/// — never a comparison against a number measured on different iron.
+/// survivor compaction + HBM fast path + steady-state step memo) is
+/// measured against the pre-optimization path run LIVE on the same
+/// machine (reference HBM serving + memo off), so the recorded speedup
+/// is container-invariant — never a comparison against a number
+/// measured on different iron.
 /// Emits the BENCH_sim.json records the CI perf floor checks.
 #include <chrono>
 #include <cstdio>

@@ -63,84 +63,49 @@ void
 AttentionGraph::runPass(std::size_t queries, std::size_t context_len,
                         bool generation)
 {
-    // Single-query generation runs through the layer-stepped path: the
-    // memo short-circuits steady-state decode steps (repeated entering
-    // context, unchanged relative HBM state) by replaying the recorded
-    // pass, and batched decode interleaves these same steps layer-major
-    // across sessions.
-    if (generation && queries == 1) {
-        const std::size_t layers = beginDecodePass(context_len);
-        for (std::size_t l = 0; l < layers; ++l)
-            stepDecodeLayer();
-        finishDecodePass();
-        return;
-    }
-    ctx_.beginPass(queries, context_len, generation);
-    for (std::size_t l = 0; l < ctx_.num_layers; ++l) {
-        const LayerCost cost = graph_.runLayer(ctx_);
-        attention_flops_ += 2.0 * (cost.qk_macs + cost.pv_macs);
-    }
-}
-
-std::size_t
-AttentionGraph::beginDecodePass(std::size_t context_len)
-{
-    SPATTEN_ASSERT(!step_active_, "nested beginDecodePass()");
-    if (memo_enabled_ && memo_.valid && memo_.context_len == context_len &&
+    // The step memo covers single-query generation: a steady-state step
+    // (repeated entering context, unchanged relative HBM state) replays
+    // the recorded pass; any other step records itself.
+    const bool decode = generation && queries == 1;
+    if (decode && memo_enabled_ && memo_.valid &&
+        memo_.context_len == context_len &&
         hbm_.timingStateEquals(memo_.pre, graph_.dramClock())) {
         replayPass();
-        return 0; // Pass complete; finishDecodePass() is a no-op.
+        return;
     }
-    step_recording_ = memo_enabled_;
-    if (step_recording_) {
-        const Cycles base = graph_.dramClock();
+    const bool record = decode && memo_enabled_;
+    // Pre AND post states are relative to the pre-pass DRAM clock;
+    // replay translates both by the replay-time clock.
+    const Cycles base = graph_.dramClock();
+    const std::uint64_t bytes_read = hbm_.bytesRead();
+    const std::uint64_t bytes_written = hbm_.bytesWritten();
+    const std::uint64_t activations = hbm_.rowActivations();
+    const std::uint64_t requests = hbm_.requestsIssued();
+    const std::size_t fetch_requests = fetcher_.totalRequests();
+    if (record) {
         memo_.valid = false;
         memo_.context_len = context_len;
         memo_.pre = hbm_.captureTimingState(base);
-        rec_base_ = {base, hbm_.bytesRead(), hbm_.bytesWritten(),
-                     hbm_.rowActivations(), hbm_.requestsIssued(),
-                     fetcher_.totalRequests()};
         memo_.layers.resize(ctx_.num_layers);
         memo_.flops_added.resize(ctx_.num_layers);
     }
-    ctx_.beginPass(1, context_len, true);
-    step_layer_ = 0;
-    step_active_ = true;
-    return ctx_.num_layers;
-}
-
-void
-AttentionGraph::stepDecodeLayer()
-{
-    SPATTEN_ASSERT(step_active_ && step_layer_ < ctx_.num_layers,
-                   "stepDecodeLayer() outside an open pass");
-    const LayerCost cost = graph_.runLayer(
-        ctx_, step_recording_ ? &memo_.layers[step_layer_] : nullptr);
-    const double added = 2.0 * (cost.qk_macs + cost.pv_macs);
-    if (step_recording_)
-        memo_.flops_added[step_layer_] = added;
-    attention_flops_ += added;
-    ++step_layer_;
-}
-
-void
-AttentionGraph::finishDecodePass()
-{
-    if (!step_active_)
-        return; // The pass was replayed whole at begin.
-    SPATTEN_ASSERT(step_layer_ == ctx_.num_layers,
-                   "finishDecodePass() after %zu of %zu layers",
-                   step_layer_, ctx_.num_layers);
-    step_active_ = false;
-    if (!step_recording_)
+    ctx_.beginPass(queries, context_len, generation);
+    for (std::size_t l = 0; l < ctx_.num_layers; ++l) {
+        const LayerCost cost =
+            graph_.runLayer(ctx_, record ? &memo_.layers[l] : nullptr);
+        const double added = 2.0 * (cost.qk_macs + cost.pv_macs);
+        if (record)
+            memo_.flops_added[l] = added;
+        attention_flops_ += added;
+    }
+    if (!record)
         return;
-    memo_.post = hbm_.captureTimingState(rec_base_.base);
-    memo_.d_bytes_read = hbm_.bytesRead() - rec_base_.bytes_read;
-    memo_.d_bytes_written = hbm_.bytesWritten() - rec_base_.bytes_written;
-    memo_.d_activations = hbm_.rowActivations() - rec_base_.activations;
-    memo_.d_requests = hbm_.requestsIssued() - rec_base_.requests;
-    memo_.d_fetch_requests =
-        fetcher_.totalRequests() - rec_base_.fetch_requests;
+    memo_.post = hbm_.captureTimingState(base);
+    memo_.d_bytes_read = hbm_.bytesRead() - bytes_read;
+    memo_.d_bytes_written = hbm_.bytesWritten() - bytes_written;
+    memo_.d_activations = hbm_.rowActivations() - activations;
+    memo_.d_requests = hbm_.requestsIssued() - requests;
+    memo_.d_fetch_requests = fetcher_.totalRequests() - fetch_requests;
     memo_.ctx_after = ctx_;
     memo_.valid = true;
 }

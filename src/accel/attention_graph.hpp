@@ -40,7 +40,9 @@ class AttentionGraph
      * Run one attention pass over the whole model: @p queries query rows
      * per (layer, head) against an entering context of @p context_len
      * tokens. Generation passes fetch the MSB plane eagerly and keep a
-     * single query row.
+     * single query row. This is the only pass driver: a decode step is
+     * runPass(1, ctx, true), whether a session steps it alone or inside
+     * a backend's decode batch.
      *
      * Single-query generation passes are transparently memoized: under
      * cascade pruning the carried KV collapses to a fixed point within a
@@ -58,23 +60,6 @@ class AttentionGraph
      */
     void runPass(std::size_t queries, std::size_t context_len,
                  bool generation);
-
-    /**
-     * Layer-stepped variant of a single-query generation pass, the
-     * substrate of batched lane-interleaved decode
-     * (AcceleratorBackend::stepDecodeBatch): the caller advances the
-     * pass one layer at a time so several sessions' passes interleave
-     * layer-major. Exactly equivalent to runPass(1, context_len, true)
-     * — a matching steady-state memo short-circuits the whole pass at
-     * begin. @return the number of stepDecodeLayer() calls the caller
-     * owes (0 when the pass was replayed whole); finishDecodePass()
-     * seals the pass (and the memo record) afterwards.
-     */
-    std::size_t beginDecodePass(std::size_t context_len);
-    /** Advance the layer-stepped pass by one layer. */
-    void stepDecodeLayer();
-    /** Seal the layer-stepped pass (records the memo when armed). */
-    void finishDecodePass();
 
     /** Enable/disable the decode-step replay memo (default on). */
     void setStepMemo(bool on) { memo_enabled_ = on; }
@@ -127,19 +112,6 @@ class AttentionGraph
 
     void replayPass();
 
-    /** Counter snapshot taken when a memo recording begins. */
-    struct RecordBaseline
-    {
-        Cycles base = 0; ///< Pre-pass DRAM clock; pre AND post states
-                         ///< are relative to it (replay translates both
-                         ///< by the replay-time clock).
-        std::uint64_t bytes_read = 0;
-        std::uint64_t bytes_written = 0;
-        std::uint64_t activations = 0;
-        std::uint64_t requests = 0;
-        std::size_t fetch_requests = 0;
-    };
-
     WorkloadSpec workload_; ///< By value: the graph may outlive the caller's spec.
     SramModel key_sram_;
     SramModel value_sram_;
@@ -159,11 +131,6 @@ class AttentionGraph
     bool memo_enabled_ = true;
     std::size_t memo_replays_ = 0;
     PassMemo memo_;
-    // ---- Layer-stepped pass state ----
-    bool step_active_ = false;    ///< begin..finish window open.
-    bool step_recording_ = false; ///< This stepped pass records the memo.
-    std::size_t step_layer_ = 0;  ///< Next layer to run.
-    RecordBaseline rec_base_;
 };
 
 } // namespace spatten

@@ -39,21 +39,6 @@ DecodeSession::decodePass(std::size_t ctx)
     return graph_.elapsedSeconds() - before;
 }
 
-std::size_t
-DecodeSession::beginDecodeStep()
-{
-    const std::size_t ctx = beginStep();
-    step_before_s_ = graph_.elapsedSeconds();
-    return graph_.beginDecodePass(ctx);
-}
-
-double
-DecodeSession::endDecodeStep()
-{
-    graph_.finishDecodePass();
-    return endStep(graph_.elapsedSeconds() - step_before_s_);
-}
-
 RunResult
 DecodeSession::finalize() const
 {

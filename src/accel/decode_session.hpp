@@ -64,19 +64,6 @@ class DecodeSession final : public ProtocolSession
     DecodeSession(const DecodeSession&) = delete;
     DecodeSession& operator=(const DecodeSession&) = delete;
 
-    /**
-     * Layer-stepped decode for batched lane-interleaved evaluation
-     * (SpAttenAccelerator::stepDecodeBatch): beginDecodeStep() opens
-     * the pass and returns the number of stepDecodeLayer() calls owed
-     * (0 when the step was served whole from the replay memo);
-     * endDecodeStep() lands the KV bookkeeping and returns the step's
-     * simulated seconds. The sequence begin / stepLayer x N / end is
-     * exactly decodeStep().
-     */
-    std::size_t beginDecodeStep();
-    void stepDecodeLayer() { graph_.stepDecodeLayer(); }
-    double endDecodeStep();
-
     /** Bytes one token of this session's KV cache occupies. */
     std::size_t kvBytesPerToken() const
     {
@@ -126,7 +113,6 @@ class DecodeSession final : public ProtocolSession
 
     AttentionGraph graph_;
     double prefill_seconds_ = 0;
-    double step_before_s_ = 0; ///< Elapsed at beginDecodeStep().
 };
 
 } // namespace spatten

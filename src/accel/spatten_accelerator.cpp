@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "accel/decode_session.hpp"
-#include "common/logging.hpp"
 
 namespace spatten {
 
@@ -55,39 +54,6 @@ SpAttenAccelerator::makeSession(const WorkloadSpec& workload,
 {
     return std::make_unique<DecodeSession>(cfg_, workload, policy,
                                            request_seed);
-}
-
-void
-SpAttenAccelerator::stepDecodeBatch(
-    const std::vector<BackendSession*>& lanes,
-    std::vector<double>& seconds_out) const
-{
-    seconds_out.resize(lanes.size());
-    // Downcast once; a foreign session type in the batch is a scheduler
-    // bug.
-    std::vector<DecodeSession*> sess(lanes.size());
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        sess[i] = dynamic_cast<DecodeSession*>(lanes[i]);
-        SPATTEN_ASSERT(sess[i] != nullptr,
-                       "lane %zu of a SpAtten decode batch is not a "
-                       "SpAtten session", i);
-    }
-    // Open every lane's pass, then advance all lanes layer-major.
-    // Lanes served whole from the replay memo return 0 owed layers and
-    // sit out the loop; models can differ per lane, so each lane owes
-    // its own layer count.
-    std::vector<std::size_t> owed(lanes.size());
-    std::size_t max_owed = 0;
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        owed[i] = sess[i]->beginDecodeStep();
-        max_owed = std::max(max_owed, owed[i]);
-    }
-    for (std::size_t l = 0; l < max_owed; ++l)
-        for (std::size_t i = 0; i < lanes.size(); ++i)
-            if (l < owed[i])
-                sess[i]->stepDecodeLayer();
-    for (std::size_t i = 0; i < lanes.size(); ++i)
-        seconds_out[i] = sess[i]->endDecodeStep();
 }
 
 std::vector<AreaEntry>

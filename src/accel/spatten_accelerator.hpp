@@ -76,19 +76,6 @@ class SpAttenAccelerator : public AcceleratorBackend
     std::unique_ptr<BackendSession>
     makeSession(const WorkloadSpec& workload, const PruningPolicy& policy,
                 std::uint64_t request_seed) const override;
-    /**
-     * Batched decode: all lanes advance through the stage graph
-     * layer-major (every lane runs layer l before any lane starts
-     * l + 1), interleaving the per-request passes the way a batched
-     * hardware iteration would — one graph traversal per iteration
-     * with per-request lanes. Lanes whose step the replay memo serves
-     * whole complete at begin and sit out the layer loop. Sessions
-     * share no state, so the result is bit-identical to the serial
-     * default (pinned by tests/test_batched_decode.cpp). Every lane
-     * must be a session this backend made.
-     */
-    void stepDecodeBatch(const std::vector<BackendSession*>& lanes,
-                         std::vector<double>& seconds_out) const override;
 
     /** Fig. 13 area breakdown for this configuration. */
     std::vector<AreaEntry> area() const;

@@ -14,6 +14,14 @@ HbmModel::HbmModel(HbmConfig cfg) : cfg_(cfg)
                    "bad HBM geometry");
     SPATTEN_ASSERT(isPow2(cfg_.interleave_bytes) && isPow2(cfg_.row_bytes),
                    "interleave/row sizes must be powers of two");
+    // Burst lengths divide by the effective bus width; a zero or NaN
+    // width would cast inf/NaN to Cycles.
+    SPATTEN_ASSERT(cfg_.bytes_per_cycle > 0,
+                   "HBM bytes_per_cycle %d must be positive",
+                   cfg_.bytes_per_cycle);
+    SPATTEN_ASSERT(cfg_.bus_efficiency > 0 && cfg_.bus_efficiency <= 1,
+                   "HBM bus_efficiency %g outside (0, 1]",
+                   cfg_.bus_efficiency);
     channels_.resize(static_cast<std::size_t>(cfg_.channels));
     for (auto& ch : channels_)
         ch.banks.resize(static_cast<std::size_t>(cfg_.banks_per_channel));

@@ -51,17 +51,12 @@ ProtocolSession::prefillChunk(std::size_t offset, std::size_t len)
     return s;
 }
 
-std::size_t
-ProtocolSession::beginStep() const
+double
+ProtocolSession::decodeStep()
 {
     SPATTEN_ASSERT(prefilled_, "decodeStep() before prefill()");
     SPATTEN_ASSERT(!done(), "decodeStep() past generate_len");
-    return kv_len_ + 1;
-}
-
-double
-ProtocolSession::endStep(double seconds)
-{
+    const double seconds = decodePass(kv_len_ + 1);
     kv_len_ = survivors(kv_len_ + 1);
     kv_trace_.push_back(kv_len_);
     ++tokens_;

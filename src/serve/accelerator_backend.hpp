@@ -130,7 +130,7 @@ class ProtocolSession : public BackendSession
      *  completes the prefill with the full prompt KV resident. */
     double prefillChunk(std::size_t offset, std::size_t len) final;
 
-    double decodeStep() final { return endStep(decodePass(beginStep())); }
+    double decodeStep() final;
 
     bool prefilled() const final { return prefilled_; }
     bool done() const final
@@ -161,12 +161,6 @@ class ProtocolSession : public BackendSession
     /** Tokens the last pass left resident when it entered with @p ctx
      *  tokens. Dense KV keeps them all. */
     virtual std::size_t survivors(std::size_t ctx) const { return ctx; }
-
-    /** Check a decode step may run; @return the context it enters. */
-    std::size_t beginStep() const;
-
-    /** Land a finished decode pass of @p seconds; @return seconds. */
-    double endStep(double seconds);
 
   private:
     WorkloadSpec workload_;
@@ -215,12 +209,10 @@ class AcceleratorBackend
      * Advance every session in @p lanes by one decode step, landing
      * lane i's simulated seconds in @p seconds_out[i] (resized to
      * match). Sessions are pure functions of their own state and share
-     * nothing, so this is *semantically identical* to calling
-     * lanes[i]->decodeStep() serially — which is exactly the default —
-     * and results are bit-identical whichever path runs. A backend may
-     * override it to traverse its stage graph once per iteration with
-     * per-request lanes (SpAttenAccelerator advances all lanes
-     * layer-major), amortizing per-step dispatch and buffers. It is the
+     * nothing, so the default steps them serially with
+     * lanes[i]->decodeStep(). No device model overrides it; a wrapping
+     * backend may, to time or count an iteration's lanes together, and
+     * must keep the results bit-identical to the default. It is the
      * scheduler's only decode path: every iteration advances all its
      * prefilled residents through one call.
      */

@@ -42,9 +42,8 @@
  *
  * Every iteration advances its prefilled residents through ONE call
  * of the backend's batched lane API (AcceleratorBackend::
- * stepDecodeBatch; SpAtten walks its stage graph layer-major across the
- * lanes), whether or not prompt work rides along — one decode path, the
- * way the hardware advances a whole batch through one pipeline pass.
+ * stepDecodeBatch, which steps each lane's session once), whether or
+ * not prompt work rides along — one decode path.
  *
  * Determinism contract (pinned by tests/test_continuous_scheduler.cpp):
  * the report is a pure function of (config, trace). Host worker threads

@@ -1,12 +1,11 @@
-/// Batched decode-step evaluation: SpAttenAccelerator::stepDecodeBatch
-/// advances every lane layer-major through one stage-graph traversal;
-/// sessions share no state, so every observable must be bit-identical
-/// to the serial decodeStep() loop — directly at the backend level, and
-/// end-to-end through the scheduler (the SpAtten fleet against a fleet
-/// whose backend keeps the serial default) across thread counts, shard
-/// counts, chunked prefill, and prefix caching. The scheduler's only
-/// decode path is the batched lane API, mixed prefill+decode iterations
-/// included.
+/// Batched decode-step evaluation: the scheduler advances every
+/// prefilled resident through one AcceleratorBackend::stepDecodeBatch
+/// call per iteration, mixed prefill+decode iterations included, and a
+/// SpAtten lane's step inside that call is the session's own
+/// decodeStep() — memo replay included, bit-identical to a session
+/// stepped with the memo off. Thread, shard, chunked-prefill and
+/// prefix-cache invariance of the served report are pinned in
+/// test_continuous_scheduler.cpp and test_chunked_prefill.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -39,139 +38,77 @@ laneWorkload(std::size_t prompt, std::size_t gen, const char* name)
 }
 
 // ---------------------------------------------------------------------
-// Backend level: stepDecodeBatch == serial decodeStep loop
+// Backend level: memo replay inside a batch == memo off
 // ---------------------------------------------------------------------
 
-TEST(BatchedDecode, LayerMajorBatchMatchesSerialBitForBit)
+void
+expectSameSession(const DecodeSession& a, const DecodeSession& b)
 {
-    const SpAttenAccelerator accel;
-    const std::vector<WorkloadSpec> lanes = {
-        laneWorkload(96, 8, "lane-a"),
-        laneWorkload(128, 8, "lane-b"),
-        laneWorkload(64, 8, "lane-c"),
-    };
-
-    // Twin fleets: identical sessions, one stepped batched, one serial.
-    std::vector<std::unique_ptr<BackendSession>> batched, serial;
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        batched.push_back(
-            accel.makeSession(lanes[i], PruningPolicy{}, 40 + i));
-        serial.push_back(
-            accel.makeSession(lanes[i], PruningPolicy{}, 40 + i));
-        batched.back()->prefill();
-        serial.back()->prefill();
-    }
-
-    std::vector<BackendSession*> lane_ptrs;
-    for (auto& s : batched)
-        lane_ptrs.push_back(s.get());
-
-    std::vector<double> batch_seconds;
-    for (std::size_t step = 0; step < 8; ++step) {
-        accel.stepDecodeBatch(lane_ptrs, batch_seconds);
-        ASSERT_EQ(batch_seconds.size(), lanes.size());
-        for (std::size_t i = 0; i < lanes.size(); ++i) {
-            const double serial_s = serial[i]->decodeStep();
-            EXPECT_EQ(batch_seconds[i], serial_s)
-                << "lane " << i << " step " << step;
-            EXPECT_EQ(batched[i]->kvLength(), serial[i]->kvLength());
-        }
-    }
-
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        EXPECT_TRUE(batched[i]->done());
-        EXPECT_EQ(batched[i]->kvTrace(), serial[i]->kvTrace());
-        const RunResult a = batched[i]->finalize();
-        const RunResult b = serial[i]->finalize();
-        EXPECT_EQ(a.cycles, b.cycles);
-        EXPECT_EQ(a.seconds, b.seconds);
-        EXPECT_EQ(a.dram_bytes, b.dram_bytes);
-        EXPECT_EQ(a.attention_flops, b.attention_flops);
-        EXPECT_EQ(a.energy.totalJ(), b.energy.totalJ());
-        ASSERT_EQ(a.stats.all().size(), b.stats.all().size());
-        auto ita = a.stats.all().begin();
-        for (auto itb = b.stats.all().begin();
-             itb != b.stats.all().end(); ++ita, ++itb) {
-            EXPECT_EQ(ita->first, itb->first);
-            EXPECT_EQ(ita->second, itb->second) << "stat " << ita->first;
-        }
+    EXPECT_EQ(a.kvTrace(), b.kvTrace());
+    const RunResult ra = a.finalize();
+    const RunResult rb = b.finalize();
+    EXPECT_EQ(ra.cycles, rb.cycles);
+    EXPECT_EQ(ra.seconds, rb.seconds);
+    EXPECT_EQ(ra.dram_bytes, rb.dram_bytes);
+    EXPECT_EQ(ra.attention_flops, rb.attention_flops);
+    EXPECT_EQ(ra.energy.totalJ(), rb.energy.totalJ());
+    ASSERT_EQ(ra.stats.all().size(), rb.stats.all().size());
+    auto ita = ra.stats.all().begin();
+    for (auto itb = rb.stats.all().begin(); itb != rb.stats.all().end();
+         ++ita, ++itb) {
+        EXPECT_EQ(ita->first, itb->first);
+        EXPECT_EQ(ita->second, itb->second) << "stat " << ita->first;
     }
 }
 
-TEST(BatchedDecode, MixedMemoAndLiveLanes)
+TEST(BatchedDecode, MemoReplayInABatchMatchesMemoOff)
 {
-    // A fresh lane joins mid-stream: its first steps record while the
-    // veterans replay from the memo — owed-layer counts differ across
-    // lanes within one batched call (0 for replayed, num_layers for
-    // live) and the interleave must still match serial exactly.
+    // A pruned veteran settles into the memo's steady state, then a
+    // fresh lane joins its batch and records while the veteran keeps
+    // replaying. Each lane must match a twin stepped with the memo off.
     const SpAttenAccelerator accel;
-    const WorkloadSpec w = laneWorkload(96, 12, "veteran");
-    auto vet_b = accel.makeSession(w, PruningPolicy{}, 7);
-    auto vet_s = accel.makeSession(w, PruningPolicy{}, 7);
-    vet_b->prefill();
-    vet_s->prefill();
-    // Warm the veteran into memo steady state.
-    std::vector<BackendSession*> solo = {vet_b.get()};
+    const SpAttenConfig& cfg = accel.config();
+    const WorkloadSpec vet_w = laneWorkload(96, 16, "veteran");
+    const WorkloadSpec rook_w = laneWorkload(64, 8, "rookie");
+    DecodeSession vet(cfg, vet_w, PruningPolicy{}, 7);
+    DecodeSession vet_off(cfg, vet_w, PruningPolicy{}, 7);
+    DecodeSession rook(cfg, rook_w, PruningPolicy{}, 9);
+    DecodeSession rook_off(cfg, rook_w, PruningPolicy{}, 9);
+    vet_off.setStepMemo(false);
+    rook_off.setStepMemo(false);
+    for (DecodeSession* s : {&vet, &vet_off, &rook, &rook_off})
+        s->prefill();
+
+    const std::size_t join = vet_w.generate_len - rook_w.generate_len;
     std::vector<double> secs;
-    for (int i = 0; i < 6; ++i) {
-        accel.stepDecodeBatch(solo, secs);
-        EXPECT_EQ(secs[0], vet_s->decodeStep());
+    std::size_t solo_replays = 0;
+    for (std::size_t step = 0; step < vet_w.generate_len; ++step) {
+        std::vector<BackendSession*> lanes = {&vet};
+        std::vector<DecodeSession*> twins = {&vet_off};
+        if (step == join)
+            solo_replays = vet.memoReplays();
+        if (step >= join) {
+            lanes.push_back(&rook);
+            twins.push_back(&rook_off);
+        }
+        accel.stepDecodeBatch(lanes, secs);
+        ASSERT_EQ(secs.size(), lanes.size());
+        for (std::size_t i = 0; i < lanes.size(); ++i)
+            EXPECT_EQ(secs[i], twins[i]->decodeStep())
+                << "lane " << i << " step " << step;
     }
-
-    const WorkloadSpec w2 = laneWorkload(64, 6, "rookie");
-    auto rook_b = accel.makeSession(w2, PruningPolicy{}, 9);
-    auto rook_s = accel.makeSession(w2, PruningPolicy{}, 9);
-    rook_b->prefill();
-    rook_s->prefill();
-
-    std::vector<BackendSession*> both = {vet_b.get(), rook_b.get()};
-    for (int i = 0; i < 6; ++i) {
-        accel.stepDecodeBatch(both, secs);
-        EXPECT_EQ(secs[0], vet_s->decodeStep()) << "step " << i;
-        EXPECT_EQ(secs[1], rook_s->decodeStep()) << "step " << i;
-    }
-    EXPECT_EQ(vet_b->kvTrace(), vet_s->kvTrace());
-    EXPECT_EQ(rook_b->kvTrace(), rook_s->kvTrace());
+    EXPECT_GT(vet.memoReplays(), solo_replays)
+        << "the veteran must replay while sharing a batch";
+    EXPECT_EQ(vet_off.memoReplays(), 0u);
+    EXPECT_TRUE(vet.done());
+    EXPECT_TRUE(rook.done());
+    expectSameSession(vet, vet_off);
+    expectSameSession(rook, rook_off);
 }
 
 // ---------------------------------------------------------------------
-// Scheduler level: SpAtten's batched path == the serial default,
-// whole-report
+// Scheduler level: every decode step arrives through stepDecodeBatch
 // ---------------------------------------------------------------------
-
-/// The SpAtten backend with the base class's serial stepDecodeBatch:
-/// forwards everything but the batched hook, so the scheduler's decode
-/// lanes step one decodeStep() at a time — the oracle the layer-major
-/// path must match bit for bit.
-class ForwardingBackend : public AcceleratorBackend
-{
-  public:
-    std::string backendName() const override
-    {
-        return inner_.backendName();
-    }
-    BackendCapabilities capabilities() const override
-    {
-        return inner_.capabilities();
-    }
-    std::uint64_t capacityBytes() const override
-    {
-        return inner_.capacityBytes();
-    }
-    std::size_t kvBytesPerElem() const override
-    {
-        return inner_.kvBytesPerElem();
-    }
-    std::unique_ptr<BackendSession>
-    makeSession(const WorkloadSpec& workload, const PruningPolicy& policy,
-                std::uint64_t request_seed) const override
-    {
-        return inner_.makeSession(workload, policy, request_seed);
-    }
-
-  protected:
-    SpAttenAccelerator inner_;
-};
 
 std::vector<TracedRequest>
 denseTrace(std::size_t n)
@@ -211,90 +148,29 @@ expectSameReport(const ServeReport& a, const ServeReport& b)
     }
 }
 
-/// Serve @p trace on @p accels default SpAtten slots.
-ServeReport
-serve(const std::vector<TracedRequest>& trace, ContinuousBatchConfig sc,
-      std::size_t accels = 1)
-{
-    const AcceleratorFleet fleet(
-        accels, std::make_shared<const SpAttenAccelerator>());
-    return ContinuousBatchScheduler(fleet, sc).run(trace);
-}
-
-ServeReport
-serveSerial(const std::vector<TracedRequest>& trace,
-            const ContinuousBatchConfig& sc, std::size_t accels = 1)
-{
-    const AcceleratorFleet fleet(
-        accels, std::make_shared<const ForwardingBackend>());
-    return ContinuousBatchScheduler(fleet, sc).run(trace);
-}
-
-TEST(BatchedDecode, SchedulerBatchedMatchesPerJobAcrossThreadsAndShards)
-{
-    const auto trace = denseTrace(20);
-    for (const std::size_t accels : {std::size_t{1}, std::size_t{2}}) {
-        ContinuousBatchConfig sc;
-        sc.max_active = 6;
-        sc.num_threads = 1;
-        const ServeReport baseline = serveSerial(trace, sc, accels);
-
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-            sc.num_threads = threads;
-            expectSameReport(baseline, serve(trace, sc, accels));
-        }
-    }
-}
-
-ContinuousBatchConfig
-chunkedConfig()
-{
-    ContinuousBatchConfig sc;
-    sc.max_active = 6;
-    sc.num_threads = 1;
-    sc.prefill_chunk_tokens = 32;
-    sc.iteration_token_budget = 48;
-    return sc;
-}
-
-TEST(BatchedDecode, SchedulerBatchedMatchesWithChunkedPrefill)
-{
-    // Chunked prefill forces mixed prefill+decode iterations, whose
-    // decode lanes batch alongside the prompt chunks.
-    const auto trace = denseTrace(16);
-    const ContinuousBatchConfig sc = chunkedConfig();
-    expectSameReport(serveSerial(trace, sc), serve(trace, sc));
-}
-
-TEST(BatchedDecode, SchedulerBatchedMatchesWithPrefixCaching)
-{
-    SharedPrefixTraceConfig pc;
-    pc.base = ArrivalTraceConfig{};
-    pc.base.num_requests = 14;
-    pc.base.mean_interarrival_s = 0.1e-3;
-    pc.base.model = tinyModel();
-    pc.base.min_output = 2;
-    pc.base.max_output = 8;
-    pc.system_prompt_tokens = 64;
-    pc.max_prompt_tokens = 320;
-    const auto trace = generateSharedPrefixTrace(pc);
-
-    ContinuousBatchConfig sc;
-    sc.max_active = 6;
-    sc.num_threads = 1;
-    sc.enable_prefix_caching = true;
-    expectSameReport(serveSerial(trace, sc), serve(trace, sc));
-}
-
-// ---------------------------------------------------------------------
-// Scheduler level: every decode step arrives through stepDecodeBatch
-// ---------------------------------------------------------------------
-
-/// Counts decode work by entry point: lanes handed to stepDecodeBatch
-/// versus decodeStep() calls made on the sessions directly.
-class CountingBackend : public ForwardingBackend
+/// The SpAtten backend, counting decode work by entry point: lanes
+/// handed to stepDecodeBatch versus decodeStep() calls made on the
+/// sessions directly.
+class CountingBackend : public AcceleratorBackend
 {
   public:
+    std::string backendName() const override
+    {
+        return inner_.backendName();
+    }
+    BackendCapabilities capabilities() const override
+    {
+        return inner_.capabilities();
+    }
+    std::uint64_t capacityBytes() const override
+    {
+        return inner_.capacityBytes();
+    }
+    std::size_t kvBytesPerElem() const override
+    {
+        return inner_.kvBytesPerElem();
+    }
+
     class Session : public BackendSession
     {
       public:
@@ -357,13 +233,19 @@ class CountingBackend : public ForwardingBackend
 
     mutable std::atomic<std::size_t> batched_lanes{0};
     mutable std::atomic<std::size_t> direct_steps{0};
+
+  private:
+    SpAttenAccelerator inner_;
 };
 
 TEST(BatchedDecode, MixedIterationsDecodeThroughTheBatchedPath)
 {
     const auto trace = denseTrace(16);
-    ContinuousBatchConfig sc = chunkedConfig();
+    ContinuousBatchConfig sc;
+    sc.max_active = 6;
     sc.num_threads = 3;
+    sc.prefill_chunk_tokens = 32;
+    sc.iteration_token_budget = 48;
     const auto counting = std::make_shared<const CountingBackend>();
     const ServeReport rep =
         ContinuousBatchScheduler(AcceleratorFleet{counting}, sc).run(trace);
@@ -378,7 +260,10 @@ TEST(BatchedDecode, MixedIterationsDecodeThroughTheBatchedPath)
                               "chunks, or no iteration mixes work";
     EXPECT_EQ(counting->batched_lanes.load(), decoded);
     EXPECT_EQ(counting->direct_steps.load(), 0u);
-    expectSameReport(serve(trace, sc), rep);
+    // Wrapping the backend changes nothing it serves.
+    const AcceleratorFleet plain{
+        std::make_shared<const SpAttenAccelerator>()};
+    expectSameReport(ContinuousBatchScheduler(plain, sc).run(trace), rep);
 }
 
 } // namespace

@@ -9,7 +9,6 @@
 #include "accel/qk_module.hpp"
 #include "accel/spatten_accelerator.hpp"
 #include "accel/topk_engine.hpp"
-#include "baselines/baseline_backends.hpp"
 #include "common/prng.hpp"
 #include "common/tokens.hpp"
 #include "core/attention_ref.hpp"
@@ -62,6 +61,25 @@ TEST(FailureInjection, HbmZeroByteRequest)
 {
     HbmModel hbm;
     EXPECT_DEATH(hbm.access({0, 0, false}, 0), "zero-byte");
+}
+
+TEST(FailureInjection, HbmZeroBandwidth)
+{
+    // Each would make every burst length a NaN/inf cast to Cycles.
+    const auto make = [](int bytes_per_cycle, double efficiency) {
+        HbmConfig cfg;
+        cfg.bytes_per_cycle = bytes_per_cycle;
+        cfg.bus_efficiency = efficiency;
+        HbmModel hbm(cfg);
+    };
+    make(16, 1.0); // The bounds themselves are legal.
+    EXPECT_DEATH(make(0, 0.72), "bytes_per_cycle 0 must be positive");
+    EXPECT_DEATH(make(-16, 0.72), "bytes_per_cycle -16 must be positive");
+    EXPECT_DEATH(make(16, 0.0), "bus_efficiency 0 outside");
+    EXPECT_DEATH(make(16, -0.5), "bus_efficiency -0.5 outside");
+    EXPECT_DEATH(make(16, 1.5), "bus_efficiency 1.5 outside");
+    EXPECT_DEATH(make(16, std::numeric_limits<double>::quiet_NaN()),
+                 "bus_efficiency nan outside");
 }
 
 TEST(FailureInjection, ScheduleBadRatio)
@@ -161,22 +179,6 @@ TEST(FailureInjection, FarMemoryValidateRejectsBadLink)
     fm = FarMemoryConfig{};
     fm.bit_energy_pj = std::numeric_limits<double>::quiet_NaN();
     EXPECT_DEATH(fm.validate(), "bit_energy_pj");
-}
-
-TEST(FailureInjection, ForeignSessionInSpAttenDecodeBatch)
-{
-    const SpAttenAccelerator spatten;
-    const A3Backend a3;
-    WorkloadSpec w;
-    w.model = {"tiny", 2, 2, 64, 2};
-    w.summarize_len = 16;
-    w.generate_len = 2;
-    auto foreign = a3.makeSession(w, PruningPolicy{}, 1);
-    foreign->prefill();
-    const std::vector<BackendSession*> lanes = {foreign.get()};
-    std::vector<double> seconds;
-    EXPECT_DEATH(spatten.stepDecodeBatch(lanes, seconds),
-                 "not a SpAtten session");
 }
 
 TEST(FailureInjection, PromptViewReadsOutsideItself)
