@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "accel/decode_session.hpp"
 #include "accel/e2e.hpp"
 #include "accel/spatten_accelerator.hpp"
 #include "baselines/a3_model.hpp"
@@ -839,6 +840,21 @@ printTable4()
                 t[6], t[2] * 1e3, t[3] * 1e3);
 }
 
+// ---- Serving: the decode session on the paper's GPT-2 shapes -------------
+
+/** runDecode's DRAM reduction on one GPT-2 model's paper shape (its
+ *  four datasets share it, so the first of each model stands for all). */
+double
+servingDram(const char* model)
+{
+    for (const BenchmarkSpec& b : gptBenchmarks())
+        if (b.workload.model.name == model)
+            return SpAttenAccelerator()
+                .runDecode(b.workload, b.policy)
+                .result.dramReduction();
+    fatal("no GPT-2 benchmark of model '%s'", model);
+}
+
 // ---- §III-D ablation: MSB+LSB settings ------------------------------------
 
 const double kLsbThresholds[] = {0.02, 0.05, 0.1, 0.2, 0.4};
@@ -958,6 +974,8 @@ statusName(Status s)
 #define POWER                                                              \
     "HBM and SRAM energy constants are estimates, not the paper's "       \
     "measurement; untriaged; " GPT2_SHAPES
+#define SERVING_CASCADE                                                    \
+    "cascade compounds across decode steps; ROADMAP item 2"
 #define PRUNED_ATTN                                                        \
     "the GPT-2 policy keeps more keys than the paper's pruned "           \
     "attention; untriaged; " GPT2_SHAPES
@@ -1061,6 +1079,10 @@ claims()
      "methodology difference: every GPT-2 row fetches 8-bit MSBs (32/8.24 bits ~ 3.9x); 6-bit MSBs, the paper's setting on easier "
      "tasks, reach the paper value (32/6.24 bits); " GPT2_SHAPES,
      [] { return gptDram(gptTechniques(false, false, true)); }},
+    {"serving.dram_reduction_gpt2_small", "§V-B", 10.0, 200.409726835, .15, Open, SERVING_CASCADE,
+     [] { return servingDram("gpt2-small"); }},
+    {"serving.dram_reduction_gpt2_medium", "§V-B", 10.0, 279.929277023, .15, Open, SERVING_CASCADE,
+     [] { return servingDram("gpt2-medium"); }},
     {"table1.hbm_gbs", "Table I", 512, 512, 0, Match, CONFIG, [] { return SpAttenAccelerator().bandwidthRoofGBs(); }},
     {"table1.key_sram_kb", "Table I", 196, 196, 0, Match, CONFIG, [] { return static_cast<double>(SpAttenConfig{}.key_sram_kb); }},
     {"table1.value_sram_kb", "Table I", 196, 196, 0, Match, CONFIG, [] { return static_cast<double>(SpAttenConfig{}.value_sram_kb); }},
@@ -1110,6 +1132,7 @@ claims()
 #undef CONFIG
 #undef POWER
 #undef PRUNED_ATTN
+#undef SERVING_CASCADE
 
 const Claim&
 claim(const char* id)
@@ -1156,6 +1179,10 @@ figures()
              printFig20},
             {"headline", "Headline reductions (Abstract / §V-B)",
              "DRAM and computation reductions from each technique", nullptr},
+            {"serving", "Serving: the decode session (§V-B shapes)",
+             "runDecode's DRAM reduction on the GPT-2 paper shapes, "
+             "against the paper's generation-stage figure",
+             nullptr},
             {"table1", "Table I", "Architectural setup of SpAtten",
              printTable1},
             {"table2", "Table II",

@@ -38,7 +38,6 @@ Crossbar::route(const std::vector<std::size_t>& channel_ids)
     for (std::size_t d : demand)
         res.conflicts += d > 0 ? d - 1 : 0;
 
-    total_routed_ += res.routed;
     total_conflicts_ += res.conflicts;
     return res;
 }
@@ -46,7 +45,6 @@ Crossbar::route(const std::vector<std::size_t>& channel_ids)
 void
 Crossbar::resetStats()
 {
-    total_routed_ = 0;
     total_conflicts_ = 0;
 }
 

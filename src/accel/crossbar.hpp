@@ -49,14 +49,12 @@ class Crossbar
 
     const CrossbarConfig& config() const { return cfg_; }
 
-    std::size_t totalRouted() const { return total_routed_; }
     std::size_t totalConflicts() const { return total_conflicts_; }
 
     void resetStats();
 
   private:
     CrossbarConfig cfg_;
-    std::size_t total_routed_ = 0;
     std::size_t total_conflicts_ = 0;
 };
 

@@ -7,8 +7,9 @@ namespace spatten {
 DecodeSession::DecodeSession(const SpAttenConfig& cfg,
                              const WorkloadSpec& workload,
                              const PruningPolicy& policy,
-                             std::uint64_t request_seed)
-    : ProtocolSession(workload), graph_(cfg, workload, policy, request_seed)
+                             std::uint64_t request_seed, CarryRule rule)
+    : ProtocolSession(workload), graph_(cfg, workload, policy, request_seed),
+      rule_(rule)
 {
     // The unpruned trajectory peaks at summarize + generate tokens; the
     // pruned one only shrinks from there, so this bound covers both.

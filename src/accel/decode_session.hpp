@@ -1,22 +1,31 @@
 /**
  * @file
- * Token-by-token generative decode on the stage graph.
+ * Token-by-token generative decode on the stage graph: the one
+ * generation loop of the SpAtten model.
  *
- * DecodeSession is the per-request unit of the continuous-batching
- * serving model (serve/continuous_batch_scheduler.hpp): one prefill pass
- * over the prompt, then one decodeStep() per generated token. Unlike
- * SpAttenPipeline::run(), which re-applies the pruning schedule to the
- * full grown context every generation iteration, a session carries the
- * cascade-pruned KV length across steps — each generated token re-enters
- * the stage graph against `kv + 1` tokens, where `kv` is the survivor
- * count the previous pass left behind. Under cascade pruning the KV
- * working set therefore shrinks as decode proceeds (pinned by
- * tests/test_continuous_scheduler.cpp); with pruning disabled it grows
- * by exactly one token per step.
+ * DecodeSession is the per-request unit of both SpAtten entry points:
+ * one prefill pass over the prompt, then one decodeStep() per generated
+ * token, each a single-query AttentionGraph::runPass(). The paper model
+ * (SpAttenAccelerator::run()) and the serving model (runDecode() and
+ * makeSession(), which the continuous-batching scheduler drives) differ
+ * only in the CarryRule the session is built with — what context a
+ * decode step enters with:
+ *   - GrownContext: step t enters with the grown context L + t + 1, so
+ *     the pruning schedule is re-applied to the full context each step;
+ *   - Survivors: step t enters with `kv + 1` tokens, where `kv` is the
+ *     survivor count the previous pass left behind. Under cascade
+ *     pruning the KV working set therefore shrinks as decode proceeds
+ *     (pinned by tests/test_continuous_scheduler.cpp), compounding the
+ *     schedule across steps.
+ * Without token pruning every pass keeps every token, so both rules
+ * grow the context by exactly one token per step and agree bit for bit
+ * (tests/test_pipeline.cpp). ROADMAP item 2 replaces both rules with one
+ * per-layer rule in survivors().
  *
- * A session is a pure function of (config, workload, policy, seed): its
- * step costs, KV trajectory, and finalized RunResult are bit-identical
- * regardless of which scheduler thread or accelerator shard drives it.
+ * A session is a pure function of (config, workload, policy, seed,
+ * rule): its step costs, KV trajectory, and finalized RunResult are
+ * bit-identical regardless of which scheduler thread or accelerator
+ * shard drives it.
  *
  * DecodeSession implements the serving layer's BackendSession contract
  * (serve/accelerator_backend.hpp), so a SpAtten device slots into the
@@ -51,13 +60,21 @@ struct DecodeResult
                                    ///< before block rounding.
 };
 
+/** The context a decode step enters with (see the file comment). */
+enum class CarryRule
+{
+    GrownContext, ///< The paper model: L + t + 1 at step t.
+    Survivors,    ///< The serving model: the last pass's survivors + 1.
+};
+
 /** One in-flight generative request on one simulated accelerator. */
 class DecodeSession final : public ProtocolSession
 {
   public:
     DecodeSession(const SpAttenConfig& cfg, const WorkloadSpec& workload,
                   const PruningPolicy& policy,
-                  std::uint64_t request_seed = kDefaultRequestSeed);
+                  std::uint64_t request_seed = kDefaultRequestSeed,
+                  CarryRule rule = CarryRule::Survivors);
 
     // The attention graph holds references into its own members, so a
     // session is pinned to its address (heap-allocate to hand around).
@@ -105,13 +122,18 @@ class DecodeSession final : public ProtocolSession
     /** A single-query generation pass against @p ctx tokens. */
     double decodePass(std::size_t ctx) override;
 
-    /** The cascade-pruned survivors of the last pass. */
-    std::size_t survivors(std::size_t) const override
+    /** The tokens the next decode step carries: the whole context
+     *  under GrownContext, the last pass's cascade-pruned survivors
+     *  under Survivors. */
+    std::size_t survivors(std::size_t ctx) const override
     {
-        return graph_.context().alive_tokens;
+        return rule_ == CarryRule::GrownContext
+                   ? ctx
+                   : graph_.context().alive_tokens;
     }
 
     AttentionGraph graph_;
+    CarryRule rule_;
     double prefill_seconds_ = 0;
 };
 

@@ -1,10 +1,10 @@
 #include "accel/e2e.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hpp"
 #include "core/schedule.hpp"
+#include "sim/stage_model.hpp"
 
 namespace spatten {
 
@@ -19,7 +19,7 @@ fcParamsPerLayer(const ModelSpec& model)
 }
 
 SpAttenE2e::SpAttenE2e(SpAttenConfig cfg, E2eConfig e2e)
-    : cfg_(cfg), e2e_(e2e), pipeline_(cfg)
+    : accel_(cfg), e2e_(e2e)
 {
     SPATTEN_ASSERT(e2e_.fc_weight_bits == 8 || e2e_.fc_weight_bits == 12,
                    "FC weights must be 8 or 12 bits (got %d)",
@@ -28,17 +28,18 @@ SpAttenE2e::SpAttenE2e(SpAttenConfig cfg, E2eConfig e2e)
 
 E2eResult
 SpAttenE2e::run(const WorkloadSpec& workload, const PruningPolicy& policy,
-                std::uint64_t request_seed)
+                std::uint64_t request_seed) const
 {
     E2eResult res;
-    res.attention = pipeline_.run(workload, policy, request_seed);
+    res.attention = accel_.run(workload, policy, request_seed);
+    const SpAttenConfig& cfg = accel_.config();
 
     const ModelSpec& model = workload.model;
     const double params = fcParamsPerLayer(model);
     const double weight_bytes = params * e2e_.fc_weight_bits / 8.0;
-    const double mults = static_cast<double>(cfg_.totalMultipliers());
-    const double peak_macs_per_ns = mults * cfg_.core_freq_ghz;
-    const double bw_bytes_per_ns = cfg_.hbm.peakBandwidthGBs();
+    const double mults = static_cast<double>(cfg.totalMultipliers());
+    const double peak_macs_per_ns = mults * cfg.core_freq_ghz;
+    const double bw_bytes_per_ns = cfg.hbm.peakBandwidthGBs();
 
     const PruningSchedule token_sched =
         policy.token_pruning
@@ -59,12 +60,8 @@ SpAttenE2e::run(const WorkloadSpec& workload, const PruningPolicy& policy,
         sum_ns += std::max(compute_ns, mem_ns);
         res.fc_sum_flops += 2.0 * macs;
         res.fc_dram_bytes += weight_bytes;
-        if (policy.token_pruning) {
-            const double r = token_sched.ratioAt(l);
-            alive = std::max<std::size_t>(
-                1, static_cast<std::size_t>(
-                       std::ceil(static_cast<double>(alive) * (1.0 - r))));
-        }
+        if (policy.token_pruning)
+            alive = pruneSurvivors(alive, token_sched.ratioAt(l));
     }
 
     // Generation stage: matrix-vector FCs, memory-bound on the weight

@@ -13,7 +13,7 @@
 #ifndef SPATTEN_ACCEL_E2E_HPP
 #define SPATTEN_ACCEL_E2E_HPP
 
-#include "accel/pipeline.hpp"
+#include "accel/spatten_accelerator.hpp"
 
 namespace spatten {
 
@@ -64,16 +64,14 @@ class SpAttenE2e
     SpAttenE2e(SpAttenConfig cfg = SpAttenConfig{},
                E2eConfig e2e = E2eConfig{});
 
-    /** Run the full model: attention (SpAtten pipeline) + FC layers. */
+    /** Run the full model: attention (SpAttenAccelerator::run) + FC
+     *  layers. */
     E2eResult run(const WorkloadSpec& workload, const PruningPolicy& policy,
-                  std::uint64_t request_seed = kDefaultRequestSeed);
-
-    const E2eConfig& e2eConfig() const { return e2e_; }
+                  std::uint64_t request_seed = kDefaultRequestSeed) const;
 
   private:
-    SpAttenConfig cfg_;
+    SpAttenAccelerator accel_;
     E2eConfig e2e_;
-    SpAttenPipeline pipeline_;
 };
 
 /** FC parameter count per transformer block (QKV + out proj + 2 FFN FCs). */

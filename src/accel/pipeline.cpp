@@ -1,8 +1,5 @@
 #include "accel/pipeline.hpp"
 
-#include "accel/attention_graph.hpp"
-#include "common/logging.hpp"
-
 namespace spatten {
 
 SpAttenConfig
@@ -18,45 +15,6 @@ SpAttenConfig::eighth()
     c.value_sram_kb = 24;
     c.hbm.channels = 2; // 64 GB/s, matching the A3 comparison setup.
     return c;
-}
-
-SpAttenPipeline::SpAttenPipeline(SpAttenConfig cfg) : cfg_(cfg)
-{
-    SPATTEN_ASSERT(cfg_.core_freq_ghz > 0, "bad core clock");
-}
-
-RunResult
-SpAttenPipeline::run(const WorkloadSpec& workload,
-                     const PruningPolicy& policy,
-                     std::uint64_t request_seed)
-{
-    SPATTEN_ASSERT(workload.summarize_len >= 1, "empty input");
-    SPATTEN_ASSERT(workload.summarize_len + workload.generate_len <=
-                       cfg_.max_context,
-                   "context %zu exceeds SRAM-backed max %zu",
-                   workload.summarize_len + workload.generate_len,
-                   cfg_.max_context);
-
-    AttentionGraph graph(cfg_, workload, policy, request_seed);
-    RunResult res;
-    res.workload = workload.name;
-
-    // Summarization stage (skipped when the workload measures the
-    // generation stage only, per the paper's GPT-2 methodology).
-    if (!workload.skip_summarization)
-        graph.runPass(workload.summarize_len, workload.summarize_len,
-                      false);
-    res.summarize_seconds = graph.elapsedSeconds();
-
-    // Generation stage: context grows by one token per iteration; tokens
-    // pruned in earlier passes stay pruned (cascade across iterations is
-    // approximated by re-applying the schedule to the grown context).
-    for (std::size_t t = 0; t < workload.generate_len; ++t)
-        graph.runPass(1, workload.summarize_len + t + 1, true);
-    res.generate_seconds = graph.elapsedSeconds() - res.summarize_seconds;
-
-    graph.finalize(res);
-    return res;
 }
 
 } // namespace spatten

@@ -1,14 +1,16 @@
 /**
  * @file
- * The SpAtten execution pipeline model (Fig. 8), assembled as a
- * composable stage graph.
+ * The SpAtten execution pipeline model (Fig. 8): its hardware
+ * configuration and the per-request result every run lands in.
  *
- * SpAttenPipeline::run() is a thin driver: it builds an AttentionGraph —
- * the hardware stages (fetcher -> QxK -> Softmax -> top-k/zero-eliminator
+ * A request runs on an AttentionGraph (accel/attention_graph.hpp): the
+ * hardware stages (fetcher -> QxK -> Softmax -> top-k/zero-eliminator
  * -> ProbxV), each implementing the common StageModel interface
  * (sim/stage_model.hpp), wired into a StageGraph (sim/stage_graph.hpp)
- * with the policy expressed as graph transforms — and iterates one
- * runPass() per summarization/generation step.
+ * with the policy expressed as graph transforms. A DecodeSession
+ * (accel/decode_session.hpp) drives one runPass() per summarization or
+ * generation step; SpAttenAccelerator::run() and runDecode() are its
+ * two entry points.
  *
  * Processing is head-by-head and query-by-query (§IV-A). The critical
  * path is fully pipelined, so per-(layer, head) compute time is
@@ -99,33 +101,6 @@ struct RunResult
                    ? attention_flops_dense / attention_flops
                    : 1.0;
     }
-};
-
-/** The pipeline-level simulator. */
-class SpAttenPipeline
-{
-  public:
-    explicit SpAttenPipeline(SpAttenConfig cfg = SpAttenConfig{});
-
-    /**
-     * Simulate the attention layers of @p workload under @p policy.
-     * BERT-style workloads run the summarization stage only; GPT-2-style
-     * workloads run summarization plus generate_len generation iterations
-     * with KV concatenation (Fig. 3). @p request_seed seeds the
-     * per-request PRNG state consumed by stochastic stages (top-k pivot
-     * selection). The occupancy model prices selections analytically, so
-     * today's results are seed-independent (pinned by tests); the
-     * plumbing keeps future functional stages deterministic per request
-     * regardless of batch scheduling.
-     */
-    RunResult run(const WorkloadSpec& workload,
-                  const PruningPolicy& policy,
-                  std::uint64_t request_seed = kDefaultRequestSeed);
-
-    const SpAttenConfig& config() const { return cfg_; }
-
-  private:
-    SpAttenConfig cfg_;
 };
 
 } // namespace spatten

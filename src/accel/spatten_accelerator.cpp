@@ -6,25 +6,16 @@
 
 namespace spatten {
 
-SpAttenAccelerator::SpAttenAccelerator(SpAttenConfig cfg)
-    : cfg_(cfg), pipeline_(cfg)
-{
-}
+namespace {
 
-RunResult
-SpAttenAccelerator::run(const WorkloadSpec& workload,
-                        const PruningPolicy& policy,
-                        std::uint64_t request_seed)
-{
-    return pipeline_.run(workload, policy, request_seed);
-}
-
+/** Prefill, then decodeStep() until done(), then finalize(): the one
+ *  generation loop behind run() and runDecode(). */
 DecodeResult
-SpAttenAccelerator::runDecode(const WorkloadSpec& workload,
-                              const PruningPolicy& policy,
-                              std::uint64_t request_seed) const
+generate(const SpAttenConfig& cfg, const WorkloadSpec& workload,
+         const PruningPolicy& policy, std::uint64_t request_seed,
+         CarryRule rule)
 {
-    DecodeSession session(cfg_, workload, policy, request_seed);
+    DecodeSession session(cfg, workload, policy, request_seed, rule);
     DecodeResult out;
     // The full prompt KV is resident through prefill (pruning only
     // shrinks it afterwards), so the peak starts there.
@@ -47,13 +38,37 @@ SpAttenAccelerator::runDecode(const WorkloadSpec& workload,
     return out;
 }
 
+} // namespace
+
+SpAttenAccelerator::SpAttenAccelerator(SpAttenConfig cfg) : cfg_(cfg) {}
+
+RunResult
+SpAttenAccelerator::run(const WorkloadSpec& workload,
+                        const PruningPolicy& policy,
+                        std::uint64_t request_seed) const
+{
+    return generate(cfg_, workload, policy, request_seed,
+                    CarryRule::GrownContext)
+        .result;
+}
+
+DecodeResult
+SpAttenAccelerator::runDecode(const WorkloadSpec& workload,
+                              const PruningPolicy& policy,
+                              std::uint64_t request_seed) const
+{
+    return generate(cfg_, workload, policy, request_seed,
+                    CarryRule::Survivors);
+}
+
 std::unique_ptr<BackendSession>
 SpAttenAccelerator::makeSession(const WorkloadSpec& workload,
                                 const PruningPolicy& policy,
                                 std::uint64_t request_seed) const
 {
     return std::make_unique<DecodeSession>(cfg_, workload, policy,
-                                           request_seed);
+                                           request_seed,
+                                           CarryRule::Survivors);
 }
 
 std::vector<AreaEntry>

@@ -42,17 +42,29 @@ class SpAttenAccelerator : public AcceleratorBackend
   public:
     explicit SpAttenAccelerator(SpAttenConfig cfg = SpAttenConfig{});
 
-    /** Simulate attention layers of a workload under a policy. */
+    /**
+     * Simulate the attention layers of @p workload under @p policy: the
+     * paper model. BERT-style workloads run the summarization stage
+     * only; GPT-2-style workloads run summarization plus generate_len
+     * generation iterations with KV concatenation (Fig. 3), each
+     * re-applying the pruning schedule to the full grown context
+     * (CarryRule::GrownContext). @p request_seed seeds the per-request
+     * PRNG state consumed by stochastic stages (top-k pivot selection).
+     * The occupancy model prices selections analytically, so today's
+     * results are seed-independent (pinned by tests); the plumbing
+     * keeps future functional stages deterministic per request
+     * regardless of batch scheduling.
+     */
     RunResult run(const WorkloadSpec& workload, const PruningPolicy& policy,
-                  std::uint64_t request_seed = kDefaultRequestSeed);
+                  std::uint64_t request_seed = kDefaultRequestSeed) const;
 
     /**
-     * Run a full prefill + token-by-token decode loop through a
-     * DecodeSession: each generated token re-enters the stage graph with
-     * the cascade-pruned KV length of the previous step (unlike run(),
-     * which re-applies the schedule to the full grown context per
-     * iteration). Returns per-step latencies and the KV trajectory along
-     * with the aggregate RunResult.
+     * The serving model through the same prefill + token-by-token decode
+     * loop as run(): each generated token re-enters the stage graph with
+     * the cascade-pruned KV length of the previous step
+     * (CarryRule::Survivors), as a makeSession() session does. Returns
+     * per-step latencies and the KV trajectory along with the aggregate
+     * RunResult.
      */
     DecodeResult runDecode(const WorkloadSpec& workload,
                            const PruningPolicy& policy,
@@ -96,7 +108,6 @@ class SpAttenAccelerator : public AcceleratorBackend
 
   private:
     SpAttenConfig cfg_;
-    SpAttenPipeline pipeline_;
 };
 
 } // namespace spatten

@@ -120,7 +120,6 @@ TopkEngine::run(const std::vector<float>& values, std::size_t k)
                    res.indices.size(), k);
 
     total_cycles_ += res.cycles;
-    total_comparisons_ += res.comparisons;
     return res;
 }
 
@@ -128,7 +127,6 @@ void
 TopkEngine::resetStats()
 {
     total_cycles_ = 0;
-    total_comparisons_ = 0;
 }
 
 Cycles

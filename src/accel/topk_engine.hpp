@@ -75,7 +75,6 @@ class TopkEngine : public StageModel
 
     /** Cumulative cycles across all run() calls (for utilization). */
     Cycles totalCycles() const { return total_cycles_; }
-    std::size_t totalComparisons() const { return total_comparisons_; }
 
     void resetStats();
 
@@ -83,7 +82,6 @@ class TopkEngine : public StageModel
     TopkEngineConfig cfg_;
     Prng prng_;
     Cycles total_cycles_ = 0;
-    std::size_t total_comparisons_ = 0;
 };
 
 /**

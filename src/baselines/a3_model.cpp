@@ -5,6 +5,7 @@
 
 #include "common/logging.hpp"
 #include "common/math_util.hpp"
+#include "energy/energy_model.hpp"
 
 namespace spatten {
 
@@ -54,7 +55,7 @@ A3Model::run(const WorkloadSpec& workload) const
     // Energy: executed ops at A3's per-op energy plus DRAM.
     res.energy_j = 2.0 * exec_macs_layer * layers *
                        cfg_.energy_per_flop_pj * 1e-12 +
-                   res.dram_bytes * 8.0 * 3.9 * 1e-12;
+                   dramEnergyJ(res.dram_bytes);
     return res;
 }
 

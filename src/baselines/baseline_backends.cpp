@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "energy/energy_model.hpp"
+
 namespace spatten {
 
 namespace {
@@ -109,14 +111,6 @@ class DenseKvSession : public ProtocolSession
     double elapsed_ = 0;
 };
 
-/// DRAM energy at the fine-grained-DRAM rate the baseline one-shot
-/// models already use (3.9 pJ/bit).
-inline double
-dramJ(double bytes)
-{
-    return bytes * 8.0 * 3.9 * 1e-12;
-}
-
 // ---------------------------------------------------------------------
 // A3
 // ---------------------------------------------------------------------
@@ -139,8 +133,8 @@ class A3Session final : public DenseKvSession
         flops_ += r.dense_flops / cfg_.approx_speedup;
         dense_flops_ += r.dense_flops;
         dram_bytes_ += r.dram_bytes;
-        compute_j_ += r.energy_j - dramJ(r.dram_bytes);
-        dram_j_ += dramJ(r.dram_bytes);
+        compute_j_ += r.energy_j - dramEnergyJ(r.dram_bytes);
+        dram_j_ += dramEnergyJ(r.dram_bytes);
         return r.seconds;
     }
 
@@ -180,7 +174,7 @@ class A3Session final : public DenseKvSession
         dram_bytes_ += bytes_layer * layers;
         compute_j_ += 2.0 * exec_macs_layer * layers *
                       cfg_.energy_per_flop_pj * 1e-12;
-        dram_j_ += dramJ(bytes_layer * layers);
+        dram_j_ += dramEnergyJ(bytes_layer * layers);
         return step_s;
     }
 
@@ -212,8 +206,8 @@ class MnnFastSession final : public DenseKvSession
                   (1.0 + (1.0 - cfg_.v_prune_ratio)) / 2.0;
         dense_flops_ += r.dense_flops;
         dram_bytes_ += r.dram_bytes;
-        compute_j_ += r.energy_j - dramJ(r.dram_bytes);
-        dram_j_ += dramJ(r.dram_bytes);
+        compute_j_ += r.energy_j - dramEnergyJ(r.dram_bytes);
+        dram_j_ += dramEnergyJ(r.dram_bytes);
         return r.seconds;
     }
 
@@ -247,7 +241,7 @@ class MnnFastSession final : public DenseKvSession
         dram_bytes_ += bytes_layer * layers;
         compute_j_ += 2.0 * exec_macs_layer * layers *
                       cfg_.energy_per_flop_pj * 1e-12;
-        dram_j_ += dramJ(bytes_layer * layers);
+        dram_j_ += dramEnergyJ(bytes_layer * layers);
         return step_s;
     }
 
@@ -264,7 +258,7 @@ class PlatformSession final : public DenseKvSession
 {
   public:
     PlatformSession(const PlatformSpec& spec, const WorkloadSpec& workload)
-        : DenseKvSession(workload), spec_(spec)
+        : DenseKvSession(workload), model_(spec)
     {
     }
 
@@ -273,8 +267,7 @@ class PlatformSession final : public DenseKvSession
     {
         WorkloadSpec prompt = workload();
         prompt.generate_len = 0;
-        const PlatformResult r =
-            PlatformModel(spec_).attention(prompt);
+        const PlatformResult r = model_.attention(prompt);
         flops_ += r.flops;
         dense_flops_ += r.flops;
         dram_bytes_ += r.dram_bytes;
@@ -284,38 +277,23 @@ class PlatformSession final : public DenseKvSession
 
     double stepPass(std::size_t ctx) override
     {
-        // The per-token generation term of PlatformModel::attention:
-        // mat-vec per head at genvec_util, inflated by the Fig. 2
-        // data-movement share plus the per-layer launch overhead.
         const ModelSpec& m = workload().model;
-        const double d = static_cast<double>(m.d_head);
-        const double h = static_cast<double>(m.num_heads);
-        const double c = static_cast<double>(ctx);
         const double layers = static_cast<double>(m.num_layers);
-        const double peak_fns = spec_.peak_tflops * 1e3;
+        const PlatformGenLayer g =
+            model_.genLayer(m, static_cast<double>(ctx));
+        const double step_s = layers * g.ns * 1e-9;
 
-        const double flops_layer = 2.0 * (c * d + c * d) * h;
-        const double bytes_layer = (2.0 * c * d * h) * 4.0; // K+V fp32.
-        const double matmul_ns =
-            std::max(flops_layer / (peak_fns * spec_.genvec_util),
-                     bytes_layer / spec_.mem_bw_gbs);
-        const double step_s =
-            layers *
-            (matmul_ns / spec_.matmul_fraction +
-             spec_.gen_overhead_us_per_layer * 1e3) *
-            1e-9;
-
-        flops_ += layers * flops_layer;
-        dense_flops_ += layers * flops_layer;
-        dram_bytes_ += layers * bytes_layer;
-        compute_j_ += step_s * spec_.dynamic_power_w;
+        flops_ += layers * g.flops;
+        dense_flops_ += layers * g.flops;
+        dram_bytes_ += layers * g.bytes;
+        compute_j_ += step_s * model_.spec().dynamic_power_w;
         return step_s;
     }
 
     /// Platforms have no single core clock; express cycles in ns.
     double clockGhz() const override { return 1.0; }
 
-    PlatformSpec spec_;
+    PlatformModel model_;
 };
 
 } // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "energy/energy_model.hpp"
 
 namespace spatten {
 
@@ -40,7 +41,7 @@ MnnFastModel::run(const WorkloadSpec& workload) const
     res.seconds = std::max(compute_ns_layer, mem_ns_layer) * layers * 1e-9;
     res.energy_j = 2.0 * exec_macs_layer * layers *
                        cfg_.energy_per_flop_pj * 1e-12 +
-                   res.dram_bytes * 8.0 * 3.9 * 1e-12;
+                   dramEnergyJ(res.dram_bytes);
     return res;
 }
 

@@ -112,23 +112,34 @@ PlatformModel::attention(const WorkloadSpec& workload,
     // Generation stage: per token, vector x matrix per head; the K/V
     // concat + reshape data movement dominates (Fig. 2).
     for (std::size_t t = 0; t < workload.generate_len; ++t) {
-        const double ctx =
-            static_cast<double>(workload.summarize_len + t + 1) *
-            pruned_keep;
-        const double flops_layer = 2.0 * (ctx * d + ctx * d) * h;
-        const double bytes_layer = (2.0 * ctx * d * h) * 4.0; // K+V fp32
-        const double matmul_ns =
-            std::max(flops_layer / (peak_fns * spec_.genvec_util),
-                     bytes_layer / spec_.mem_bw_gbs);
-        ns += layers * (matmul_ns / spec_.matmul_fraction +
-                        spec_.gen_overhead_us_per_layer * 1e3);
-        res.flops += layers * flops_layer;
-        res.dram_bytes += layers * bytes_layer;
+        const PlatformGenLayer g = genLayer(
+            m, static_cast<double>(workload.summarize_len + t + 1) *
+                   pruned_keep);
+        ns += layers * g.ns;
+        res.flops += layers * g.flops;
+        res.dram_bytes += layers * g.bytes;
     }
 
     res.seconds = ns * 1e-9;
     res.energy_j = res.seconds * spec_.dynamic_power_w;
     return res;
+}
+
+PlatformGenLayer
+PlatformModel::genLayer(const ModelSpec& model, double ctx) const
+{
+    const double d = static_cast<double>(model.d_head);
+    const double h = static_cast<double>(model.num_heads);
+    const double peak_fns = spec_.peak_tflops * 1e3;
+    PlatformGenLayer g;
+    g.flops = 2.0 * (ctx * d + ctx * d) * h;
+    g.bytes = (2.0 * ctx * d * h) * 4.0;
+    const double matmul_ns =
+        std::max(g.flops / (peak_fns * spec_.genvec_util),
+                 g.bytes / spec_.mem_bw_gbs);
+    g.ns = matmul_ns / spec_.matmul_fraction +
+           spec_.gen_overhead_us_per_layer * 1e3;
+    return g;
 }
 
 PlatformResult

@@ -67,6 +67,14 @@ struct PlatformResult
     }
 };
 
+/** One layer of one generation step (see PlatformModel::genLayer). */
+struct PlatformGenLayer
+{
+    double flops = 0; ///< Dense mat-vec FLOPs.
+    double bytes = 0; ///< K+V fp32 bytes fetched.
+    double ns = 0;    ///< Latency, data movement and launch included.
+};
+
 /** The analytical platform model. */
 class PlatformModel
 {
@@ -83,6 +91,15 @@ class PlatformModel
      */
     PlatformResult attention(const WorkloadSpec& workload,
                              double pruned_keep = 1.0) const;
+
+    /**
+     * The per-token generation term, one layer of it: mat-vec per head
+     * over @p ctx context tokens at genvec_util, inflated by the Fig. 2
+     * data-movement share plus the per-layer launch overhead. The one
+     * definition behind attention()'s generation stage and the serving
+     * adapter's decode steps.
+     */
+    PlatformGenLayer genLayer(const ModelSpec& model, double ctx) const;
 
     /** FC-layers latency (for end-to-end comparisons, Fig. 15/Table IV). */
     PlatformResult fc(const WorkloadSpec& workload) const;

@@ -6,22 +6,6 @@
 
 namespace spatten {
 
-namespace {
-LogLevel g_level = LogLevel::Info;
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
 namespace detail {
 
 std::string
@@ -70,28 +54,6 @@ panic(const char* fmt, ...)
     va_end(args);
     std::fprintf(stderr, "panic: %s\n", s.c_str());
     std::abort();
-}
-
-void
-warn(const char* fmt, ...)
-{
-    std::va_list args;
-    va_start(args, fmt);
-    std::string s = detail::vstrfmt(fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "warn: %s\n", s.c_str());
-}
-
-void
-inform(const char* fmt, ...)
-{
-    if (g_level == LogLevel::Quiet)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    std::string s = detail::vstrfmt(fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "info: %s\n", s.c_str());
 }
 
 } // namespace spatten

@@ -4,7 +4,7 @@
  *
  * Follows the gem5 convention: fatal() terminates on user error (bad
  * configuration, invalid arguments), panic() aborts on internal invariant
- * violations, and warn()/inform() report non-fatal conditions.
+ * violations.
  */
 #ifndef SPATTEN_COMMON_LOGGING_HPP
 #define SPATTEN_COMMON_LOGGING_HPP
@@ -13,15 +13,6 @@
 #include <string>
 
 namespace spatten {
-
-/** Verbosity levels for inform(); higher is chattier. */
-enum class LogLevel { Quiet = 0, Info = 1, Debug = 2 };
-
-/** Global log level; defaults to Info. */
-LogLevel logLevel();
-
-/** Set the global log level (e.g. from a benchmark's --quiet flag). */
-void setLogLevel(LogLevel level);
 
 /**
  * Terminate the process because of a user-caused error (bad config,
@@ -34,12 +25,6 @@ void setLogLevel(LogLevel level);
  * itself). Calls std::abort().
  */
 [[noreturn]] void panic(const char* fmt, ...);
-
-/** Report a suspicious-but-survivable condition to stderr. */
-void warn(const char* fmt, ...);
-
-/** Report normal operating status to stderr (suppressed when Quiet). */
-void inform(const char* fmt, ...);
 
 /** printf-style formatting into a std::string. */
 std::string strfmt(const char* fmt, ...);

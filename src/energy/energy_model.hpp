@@ -32,6 +32,15 @@ struct EnergyConfig
     double leakage_w = 0.121;        ///< "Others" static power.
 };
 
+/** Energy (J) of moving @p bytes through DRAM at the fine-grained-DRAM
+ *  rate of 3.9 pJ/bit: the one DRAM price of the A3 and MNNFast models
+ *  and of the baseline serving sessions. */
+inline double
+dramEnergyJ(double bytes)
+{
+    return bytes * 8.0 * 3.9 * 1e-12;
+}
+
 /** Activity counts accumulated by a simulation run. */
 struct ActivityCounts
 {
@@ -72,8 +81,6 @@ struct EnergyReport
                leakage_j;
     }
     double totalJ() const { return onChipJ() + dram_j + migration_j; }
-    double totalW() const { return seconds > 0 ? totalJ() / seconds : 0; }
-    double dramW() const { return seconds > 0 ? dram_j / seconds : 0; }
 
     /** Multi-line table matching the paper's Table II layout. */
     std::string toString() const;

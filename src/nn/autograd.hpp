@@ -51,8 +51,6 @@ class AdamOptimizer
     void step(std::vector<Param*>& params);
 
     const Config& config() const { return cfg_; }
-    void setLr(double lr) { cfg_.lr = lr; }
-    std::size_t stepCount() const { return t_; }
 
   private:
     Config cfg_;

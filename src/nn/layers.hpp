@@ -31,8 +31,6 @@ class Linear
      */
     Tensor backward(const Tensor& x, const Tensor& dy);
 
-    std::size_t inDim() const { return in_; }
-    std::size_t outDim() const { return out_; }
 
     Param& weight() { return w_; }
     Param& bias() { return b_; }

@@ -198,10 +198,6 @@ class KvPool
     std::size_t evictedBlocks() const { return evicted_blocks_; }
 
     // ---- Tiered-memory introspection (tests, ServeReport) ----
-    std::uint64_t dramCapacityBytes() const
-    {
-        return cfg_.dram_capacity_bytes;
-    }
     /// Cold-tier occupancy: bytes of cached blocks currently demoted
     /// to far-memory DRAM.
     std::uint64_t dramUsedBytes() const { return dram_used_bytes_; }

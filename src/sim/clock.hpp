@@ -23,7 +23,6 @@ class ClockDomain
     /** @param freq_ghz clock frequency in GHz (SpAtten core: 1.0). */
     explicit ClockDomain(double freq_ghz = 1.0, std::string name = "core");
 
-    double freqGhz() const { return freq_ghz_; }
     const std::string& name() const { return name_; }
 
     /** Convert cycles of this domain to nanoseconds. */

@@ -140,9 +140,6 @@ class StageGraph
     /** Number of entries exportStats() writes. */
     std::size_t exportedStats() const { return 3 * stages_.size(); }
 
-    /** Number of registered stages. */
-    std::size_t numStages() const { return stages_.size(); }
-
   private:
     /** The interned `stage.<name>.*` counter names of one stage. */
     struct StageStatNames

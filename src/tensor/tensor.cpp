@@ -105,14 +105,6 @@ Tensor::reshape(Shape new_shape)
 }
 
 Tensor
-Tensor::reshaped(Shape new_shape) const
-{
-    Tensor t = *this;
-    t.reshape(std::move(new_shape));
-    return t;
-}
-
-Tensor
 Tensor::row(std::size_t r) const
 {
     SPATTEN_ASSERT(ndim() == 2 && r < shape_[0], "row %zu of %s", r,

@@ -77,9 +77,6 @@ class Tensor
     /** Reshape in place; the element count must be preserved. */
     Tensor& reshape(Shape new_shape);
 
-    /** A copy with a new shape. */
-    Tensor reshaped(Shape new_shape) const;
-
     /** Row @p r of a 2-D tensor as a fresh 1-D tensor. */
     Tensor row(std::size_t r) const;
 

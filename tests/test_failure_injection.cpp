@@ -93,10 +93,46 @@ TEST(FailureInjection, ScheduleBadRatio)
 
 TEST(FailureInjection, PipelineEmptyWorkload)
 {
-    SpAttenPipeline pipe;
+    const SpAttenAccelerator accel;
     WorkloadSpec w;
     w.summarize_len = 0;
-    EXPECT_DEATH(pipe.run(w, PruningPolicy::disabled()), "empty input");
+    EXPECT_DEATH(accel.run(w, PruningPolicy::disabled()), "empty prompt");
+}
+
+WorkloadSpec
+overContextWorkload()
+{
+    WorkloadSpec w;
+    w.model = ModelSpec::gpt2Small();
+    w.summarize_len = 1020;
+    w.generate_len = 16; // 1036 > the default 1024-token SRAM limit
+    return w;
+}
+
+TEST(FailureInjection, ContextLimitThroughRun)
+{
+    const SpAttenAccelerator accel;
+    EXPECT_DEATH(accel.run(overContextWorkload(), PruningPolicy{}),
+                 "context 1036 exceeds SRAM-backed max 1024");
+}
+
+TEST(FailureInjection, ContextLimitThroughMakeSession)
+{
+    const SpAttenAccelerator accel;
+    EXPECT_DEATH(accel.makeSession(overContextWorkload(), PruningPolicy{},
+                                   kDefaultRequestSeed),
+                 "context 1036 exceeds SRAM-backed max 1024");
+}
+
+TEST(FailureInjection, BadCoreClockThroughRun)
+{
+    SpAttenConfig cfg;
+    cfg.core_freq_ghz = 0.0;
+    const SpAttenAccelerator accel(cfg);
+    WorkloadSpec w;
+    w.summarize_len = 8;
+    EXPECT_DEATH(accel.run(w, PruningPolicy::disabled()),
+                 "bad clock config");
 }
 
 TEST(FailureInjection, AttentionBadHeadSplit)

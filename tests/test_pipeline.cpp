@@ -3,8 +3,10 @@
 /// latency, DRAM traffic, compute- vs memory-boundedness, and rooflines.
 #include <gtest/gtest.h>
 
+#include "accel/decode_session.hpp"
 #include "accel/e2e.hpp"
 #include "accel/spatten_accelerator.hpp"
+#include "workload/benchmarks.hpp"
 
 namespace spatten {
 namespace {
@@ -46,8 +48,8 @@ fullPolicy()
 
 TEST(Pipeline, DensePolicyHasNoReduction)
 {
-    SpAttenPipeline pipe;
-    const auto r = pipe.run(bertWorkload(), PruningPolicy::disabled());
+    const SpAttenAccelerator accel;
+    const auto r = accel.run(bertWorkload(), PruningPolicy::disabled());
     EXPECT_DOUBLE_EQ(r.computeReduction(), 1.0);
     EXPECT_GT(r.seconds, 0.0);
     EXPECT_GT(r.attention_flops, 0.0);
@@ -57,9 +59,9 @@ TEST(Pipeline, DensePolicyHasNoReduction)
 
 TEST(Pipeline, PruningReducesLatencyAndTraffic)
 {
-    SpAttenPipeline pipe;
-    const auto dense = pipe.run(gptWorkload(), PruningPolicy::disabled());
-    const auto pruned = pipe.run(gptWorkload(), fullPolicy());
+    const SpAttenAccelerator accel;
+    const auto dense = accel.run(gptWorkload(), PruningPolicy::disabled());
+    const auto pruned = accel.run(gptWorkload(), fullPolicy());
     EXPECT_LT(pruned.seconds, dense.seconds);
     EXPECT_LT(pruned.dram_bytes, dense.dram_bytes);
     EXPECT_LT(pruned.attention_flops, dense.attention_flops);
@@ -68,55 +70,55 @@ TEST(Pipeline, PruningReducesLatencyAndTraffic)
 
 TEST(Pipeline, TokenPruningAloneReducesCompute)
 {
-    SpAttenPipeline pipe;
+    const SpAttenAccelerator accel;
     PruningPolicy p = PruningPolicy::disabled();
     p.token_pruning = true;
     p.token_avg_ratio = 0.2;
-    const auto r = pipe.run(bertWorkload(256), p);
+    const auto r = accel.run(bertWorkload(256), p);
     EXPECT_GT(r.computeReduction(), 1.3);
 }
 
 TEST(Pipeline, HeadPruningReducesCompute)
 {
-    SpAttenPipeline pipe;
+    const SpAttenAccelerator accel;
     PruningPolicy p = PruningPolicy::disabled();
     p.head_pruning = true;
     p.head_avg_ratio = 0.1;
-    const auto r = pipe.run(bertWorkload(256), p);
+    const auto r = accel.run(bertWorkload(256), p);
     EXPECT_GT(r.computeReduction(), 1.05);
 }
 
 TEST(Pipeline, ProgressiveQuantReducesDram)
 {
-    SpAttenPipeline pipe;
+    const SpAttenAccelerator accel;
     PruningPolicy static12 = PruningPolicy::disabled();
-    const auto r12 = pipe.run(gptWorkload(), static12);
+    const auto r12 = accel.run(gptWorkload(), static12);
 
     PruningPolicy pq = PruningPolicy::disabled();
     pq.pq.enabled = true;
     pq.pq.setting = {6, 4};
     pq.lsb_fraction = 0.059;
-    const auto rq = pipe.run(gptWorkload(), pq);
+    const auto rq = accel.run(gptWorkload(), pq);
     EXPECT_LT(rq.dram_bytes, r12.dram_bytes * 0.7);
 }
 
 TEST(Pipeline, BertIsComputeBoundGptIsMemoryBound)
 {
-    SpAttenPipeline pipe;
-    const auto bert = pipe.run(bertWorkload(384),
-                               PruningPolicy::disabled());
+    const SpAttenAccelerator accel;
+    const auto bert = accel.run(bertWorkload(384),
+                                PruningPolicy::disabled());
     EXPECT_GT(bert.stats.get("pipeline.compute_bound_ns"),
               bert.stats.get("pipeline.memory_bound_ns"));
 
     // Generation iterations dominate GPT-2 latency and are memory-bound.
-    const auto gpt = pipe.run(gptWorkload(900, 32),
-                              PruningPolicy::disabled());
+    const auto gpt = accel.run(gptWorkload(900, 32),
+                               PruningPolicy::disabled());
     EXPECT_GT(gpt.stats.get("pipeline.memory_bound_ns"), 0.0);
 }
 
 TEST(Pipeline, EffectiveTflopsUnderRoofs)
 {
-    SpAttenAccelerator accel;
+    const SpAttenAccelerator accel;
     const auto bert = accel.run(bertWorkload(384),
                                 PruningPolicy::disabled());
     EXPECT_LE(bert.effectiveTflops(), accel.computeRoofTflops() * 1.001);
@@ -129,16 +131,16 @@ TEST(Pipeline, EffectiveTflopsUnderRoofs)
 
 TEST(Pipeline, LongerSequencesTakeLonger)
 {
-    SpAttenPipeline pipe;
-    const auto a = pipe.run(bertWorkload(64), PruningPolicy::disabled());
-    const auto b = pipe.run(bertWorkload(256), PruningPolicy::disabled());
+    const SpAttenAccelerator accel;
+    const auto a = accel.run(bertWorkload(64), PruningPolicy::disabled());
+    const auto b = accel.run(bertWorkload(256), PruningPolicy::disabled());
     EXPECT_GT(b.seconds, a.seconds * 3.0); // ~quadratic in L
 }
 
 TEST(Pipeline, EighthConfigSlower)
 {
-    SpAttenPipeline full;
-    SpAttenPipeline eighth(SpAttenConfig::eighth());
+    const SpAttenAccelerator full;
+    const SpAttenAccelerator eighth(SpAttenConfig::eighth());
     const auto rf = full.run(bertWorkload(128), PruningPolicy::disabled());
     const auto re = eighth.run(bertWorkload(128),
                                PruningPolicy::disabled());
@@ -147,8 +149,8 @@ TEST(Pipeline, EighthConfigSlower)
 
 TEST(Pipeline, DramIsAMajorEnergyBucket)
 {
-    SpAttenPipeline pipe;
-    const auto r = pipe.run(gptWorkload(900, 32), fullPolicy());
+    const SpAttenAccelerator accel;
+    const auto r = accel.run(gptWorkload(900, 32), fullPolicy());
     // Table II shape: DRAM is a dominant power bucket (5.71 W of 8.30 W
     // in the paper; here we require it to be a major share).
     EXPECT_GT(r.energy.dram_j, 0.3 * r.energy.totalJ());
@@ -156,8 +158,8 @@ TEST(Pipeline, DramIsAMajorEnergyBucket)
 
 TEST(Pipeline, StageSplitSumsToTotal)
 {
-    SpAttenPipeline pipe;
-    const auto r = pipe.run(gptWorkload(512, 8), fullPolicy());
+    const SpAttenAccelerator accel;
+    const auto r = accel.run(gptWorkload(512, 8), fullPolicy());
     EXPECT_NEAR(r.summarize_seconds + r.generate_seconds, r.seconds,
                 r.seconds * 1e-9 + 1e-12);
     EXPECT_GT(r.generate_seconds, 0.0);
@@ -165,9 +167,9 @@ TEST(Pipeline, StageSplitSumsToTotal)
 
 TEST(Pipeline, ContextLimitEnforced)
 {
-    SpAttenPipeline pipe;
+    const SpAttenAccelerator accel;
     WorkloadSpec w = gptWorkload(1020, 16); // 1036 > 1024
-    EXPECT_DEATH(pipe.run(w, PruningPolicy::disabled()), "context");
+    EXPECT_DEATH(accel.run(w, PruningPolicy::disabled()), "context");
 }
 
 // The occupancy model prices top-k selections analytically and never
@@ -178,20 +180,20 @@ TEST(Pipeline, ContextLimitEnforced)
 // must be re-proven against real seed plumbing.
 TEST(Pipeline, TimingModelIsSeedIndependentToday)
 {
-    SpAttenPipeline pipe;
-    const RunResult a = pipe.run(gptWorkload(256, 4), fullPolicy(), 1);
-    const RunResult b = pipe.run(gptWorkload(256, 4), fullPolicy(), 999);
+    const SpAttenAccelerator accel;
+    const RunResult a = accel.run(gptWorkload(256, 4), fullPolicy(), 1);
+    const RunResult b = accel.run(gptWorkload(256, 4), fullPolicy(), 999);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.seconds, b.seconds);
     EXPECT_EQ(a.dram_bytes, b.dram_bytes);
 }
 
-// Values measured on the pre-refactor monolithic SpAttenPipeline::run()
-// for this exact workload/policy; the stage graph must not regress them.
+// Values measured on the monolithic pipeline model that preceded the
+// stage graph, for this exact workload/policy; it must not regress them.
 TEST(Pipeline, StageGraphMatchesMonolithRegression)
 {
-    SpAttenPipeline pipe;
-    const RunResult r = pipe.run(gptWorkload(512, 16), fullPolicy());
+    const SpAttenAccelerator accel;
+    const RunResult r = accel.run(gptWorkload(512, 16), fullPolicy());
     // Monolith: 2871820 cycles. "No worse" with a small integer slack
     // for rounding; the current graph reproduces it exactly.
     EXPECT_LE(r.cycles, 2871820u);
@@ -202,21 +204,56 @@ TEST(Pipeline, StageGraphMatchesMonolithRegression)
     EXPECT_NEAR(r.attention_flops, 4589715456.0, 1.0);
 
     const RunResult dense =
-        pipe.run(gptWorkload(512, 16), PruningPolicy::disabled());
+        accel.run(gptWorkload(512, 16), PruningPolicy::disabled());
     EXPECT_LE(dense.cycles, 5423040u); // monolith dense cycles
     EXPECT_NEAR(dense.dramReduction(), 32.0 / 12.0, 1e-9);
 }
 
+// run() enters decode step t with the grown context L + t + 1;
+// runDecode() enters with the last pass's survivors + 1. Without token
+// pruning every pass keeps every token, so the two rules coincide and
+// the results must be bit-identical, field by field and stat by stat.
+TEST(Pipeline, RunEqualsRunDecodeWithoutTokenPruning)
+{
+    for (const SpAttenConfig& cfg :
+         {SpAttenConfig{}, SpAttenConfig::eighth()}) {
+        const SpAttenAccelerator accel(cfg);
+        for (const BenchmarkSpec& b : paperBenchmarks()) {
+            PruningPolicy no_token = b.policy;
+            no_token.token_pruning = false;
+            for (const PruningPolicy& p :
+                 {PruningPolicy::disabled(), no_token}) {
+                const RunResult one = accel.run(b.workload, p);
+                const RunResult dec = accel.runDecode(b.workload, p).result;
+                const std::string what = b.workload.name;
+                EXPECT_EQ(one.cycles, dec.cycles) << what;
+                EXPECT_EQ(one.seconds, dec.seconds) << what;
+                EXPECT_EQ(one.summarize_seconds, dec.summarize_seconds)
+                    << what;
+                EXPECT_EQ(one.generate_seconds, dec.generate_seconds)
+                    << what;
+                EXPECT_EQ(one.attention_flops, dec.attention_flops) << what;
+                EXPECT_EQ(one.dram_bytes, dec.dram_bytes) << what;
+                EXPECT_EQ(one.dram_bytes_dense, dec.dram_bytes_dense)
+                    << what;
+                EXPECT_EQ(one.energy.totalJ(), dec.energy.totalJ()) << what;
+                EXPECT_EQ(one.energy.dram_j, dec.energy.dram_j) << what;
+                EXPECT_TRUE(one.stats.sameValues(dec.stats)) << what;
+            }
+        }
+    }
+}
+
 TEST(Accelerator, RooflineConstants)
 {
-    SpAttenAccelerator accel;
+    const SpAttenAccelerator accel;
     EXPECT_DOUBLE_EQ(accel.computeRoofTflops(), 2.048);
     EXPECT_DOUBLE_EQ(accel.bandwidthRoofGBs(), 512.0);
 }
 
 TEST(Accelerator, ConfigTableMentionsKeyNumbers)
 {
-    SpAttenAccelerator accel;
+    const SpAttenAccelerator accel;
     const std::string t = accel.configTable();
     EXPECT_NE(t.find("512"), std::string::npos); // GB/s or multipliers
     EXPECT_NE(t.find("HBM2"), std::string::npos);

@@ -209,9 +209,9 @@ TEST(StageGraph, AsymmetricSramTilesToTheSmallerBuffer)
     SpAttenConfig small_value;
     small_value.value_sram_kb = 32; // 170 tokens/buffer vs 1045 for key
     const RunResult tiled =
-        SpAttenPipeline(small_value).run(w, PruningPolicy::disabled());
+        SpAttenAccelerator(small_value).run(w, PruningPolicy::disabled());
     const RunResult flat =
-        SpAttenPipeline().run(w, PruningPolicy::disabled());
+        SpAttenAccelerator().run(w, PruningPolicy::disabled());
     EXPECT_GT(tiled.dram_bytes, flat.dram_bytes);
     EXPECT_GT(tiled.seconds, 0.0);
 }
