@@ -3,14 +3,12 @@
  * The SpAtten execution pipeline model (Fig. 8): its hardware
  * configuration and the per-request result every run lands in.
  *
- * A request runs on an AttentionGraph (accel/attention_graph.hpp): the
+ * A request runs on a DecodeSession (accel/decode_session.hpp): the
  * hardware stages (fetcher -> QxK -> Softmax -> top-k/zero-eliminator
  * -> ProbxV), each implementing the common StageModel interface
- * (sim/stage_model.hpp), wired into a StageGraph (sim/stage_graph.hpp)
- * with the policy expressed as graph transforms. A DecodeSession
- * (accel/decode_session.hpp) drives one runPass() per summarization or
- * generation step; SpAttenAccelerator::run() and runDecode() are its
- * two entry points.
+ * (sim/stage_model.hpp), wired into a StageGraph (sim/stage_graph.hpp).
+ * The session runs one pass per prompt chunk or generation step;
+ * SpAttenAccelerator::run() and runDecode() are its two entry points.
  *
  * Processing is head-by-head and query-by-query (§IV-A). The critical
  * path is fully pipelined, so per-(layer, head) compute time is
@@ -18,12 +16,13 @@
  * and DRAM traffic overlaps compute under double buffering, so
  *     layer time = max(compute time, memory time).
  *
- * Cascade token/head pruning and progressive quantization are graph
- * transforms (core/graph_transforms.hpp) that rewrite the per-request
- * ExecutionContext between layers: pruning shrinks the alive token/head
- * counts following the PruningSchedule; quantization selects the eagerly
- * fetched plane width and the LSB refetch fraction per pass. Every
- * stage's occupancy, energy, and traffic land in RunResult::stats under
+ * Cascade token/head pruning and progressive quantization are
+ * per-layer state of the request's ExecutionContext, seeded by
+ * makeExecutionContext (core/execution_context.hpp): each layer's entry
+ * publishes its pruning ratios and the pass's eagerly fetched plane
+ * width and LSB refetch fraction, and its exit shrinks the alive
+ * token/head counts following the PruningSchedule. Every stage's
+ * occupancy, energy, and traffic land in RunResult::stats under
  * "stage.<name>.*" automatically.
  */
 #ifndef SPATTEN_ACCEL_PIPELINE_HPP

@@ -1,8 +1,10 @@
 #include "accel/spatten_accelerator.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "accel/decode_session.hpp"
+#include "common/logging.hpp"
 
 namespace spatten {
 
@@ -40,7 +42,15 @@ generate(const SpAttenConfig& cfg, const WorkloadSpec& workload,
 
 } // namespace
 
-SpAttenAccelerator::SpAttenAccelerator(SpAttenConfig cfg) : cfg_(cfg) {}
+SpAttenAccelerator::SpAttenAccelerator(SpAttenConfig cfg) : cfg_(cfg)
+{
+    // StageGraph rejects a non-positive clock only once a session is
+    // built, and lets +inf through to a float -> Cycles cast: reject
+    // both here, before any caller can use the accelerator.
+    SPATTEN_ASSERT(std::isfinite(cfg_.core_freq_ghz) &&
+                       cfg_.core_freq_ghz > 0,
+                   "bad clock config (%f core GHz)", cfg_.core_freq_ghz);
+}
 
 RunResult
 SpAttenAccelerator::run(const WorkloadSpec& workload,

@@ -40,6 +40,7 @@ struct DecodeResult;
 class SpAttenAccelerator : public AcceleratorBackend
 {
   public:
+    /** Dies on a core clock that is not a finite positive frequency. */
     explicit SpAttenAccelerator(SpAttenConfig cfg = SpAttenConfig{});
 
     /**

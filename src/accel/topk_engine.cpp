@@ -147,9 +147,9 @@ TopkEngine::timing(const ExecutionContext& ctx) const
     if (ctx.local_value_pruning)
         t.ii_cycles = ceilDiv<std::size_t>(2 * ctx.survivorTokens(),
                                            cfg_.parallelism);
-    if (ctx.token_pruning && ctx.token_prune_ratio > 0.0)
+    if (ctx.token_prune_ratio > 0.0)
         t.layer_cycles += selectStreamCycles(ctx.survivorTokens());
-    if (ctx.head_pruning && ctx.head_prune_ratio > 0.0)
+    if (ctx.head_prune_ratio > 0.0)
         t.layer_cycles += selectStreamCycles(ctx.alive_heads);
     return t;
 }
@@ -162,7 +162,7 @@ TopkEngine::energy(const ExecutionContext& ctx) const
     if (ctx.local_value_pruning)
         a.topk_comparisons +=
             ctx.queryRows() * 3.0 * static_cast<double>(ctx.survivorTokens());
-    if (ctx.token_pruning && ctx.token_prune_ratio > 0.0)
+    if (ctx.token_prune_ratio > 0.0)
         a.topk_comparisons += 3.0 * static_cast<double>(ctx.survivorTokens());
     return a;
 }

@@ -86,9 +86,9 @@ StageTiming
 ZeroEliminator::timing(const ExecutionContext& ctx) const
 {
     StageTiming t;
-    if (ctx.token_pruning && ctx.token_prune_ratio > 0.0)
+    if (ctx.token_prune_ratio > 0.0)
         t.layer_cycles += cascadeCycles(ctx.survivorTokens());
-    if (ctx.head_pruning && ctx.head_prune_ratio > 0.0)
+    if (ctx.head_prune_ratio > 0.0)
         t.layer_cycles += cascadeCycles(ctx.alive_heads);
     return t;
 }

@@ -13,7 +13,7 @@
 namespace spatten {
 
 /// Default per-request seed shared by every public simulation API
-/// (pipeline, e2e, accelerator facade, batch runner, execution context),
+/// (e2e, accelerator facade, decode session, serving backends),
 /// so the entry points can never drift to different defaults.
 constexpr std::uint64_t kDefaultRequestSeed = 0x5eed;
 

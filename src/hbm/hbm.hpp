@@ -217,7 +217,7 @@ class HbmModel
      * canonical representative of the behavioral equivalence class.
      * Two moments with equal snapshots serve any request sequence with
      * identical relative results — the property the decode-step replay
-     * memo (AttentionGraph) is built on: capture before a recorded pass,
+     * memo (DecodeSession) is built on: capture before a recorded pass,
      * compare before a candidate replay, restore after.
      */
     struct TimingState

@@ -54,13 +54,6 @@ StageGraph::addMemoryStage(MemoryStage* stage, TrafficSink sink)
 }
 
 void
-StageGraph::addTransform(std::unique_ptr<GraphTransform> transform)
-{
-    SPATTEN_ASSERT(transform != nullptr, "null transform");
-    transforms_.push_back(std::move(transform));
-}
-
-void
 StageGraph::exportStats(StatSet& stats) const
 {
     for (const auto& e : stages_) {
@@ -86,8 +79,6 @@ LayerCost
 StageGraph::runLayer(ExecutionContext& ctx, LayerReplayRecord* record)
 {
     SPATTEN_ASSERT(!stages_.empty(), "stage graph has no stages");
-    for (auto& t : transforms_)
-        t->prepare(ctx);
     ctx.beginLayer();
 
     LayerCost cost;
@@ -196,9 +187,7 @@ StageGraph::runLayer(ExecutionContext& ctx, LayerReplayRecord* record)
     cost.pv_macs = q_heads * static_cast<double>(ctx.kept_values) *
                    static_cast<double>(ctx.d_head);
 
-    for (auto& t : transforms_)
-        t->apply(ctx);
-    ++ctx.layer;
+    ctx.endLayer();
     if (record != nullptr)
         record->cost = cost;
     return cost;

@@ -2,22 +2,20 @@
  * @file
  * Composable stage graph: the execution engine of the accelerator model.
  *
- * A StageGraph is an ordered set of StageModels plus a chain of
- * GraphTransforms. One runLayer() call evaluates every stage against the
- * per-request ExecutionContext, combines their occupancies into the
- * layer's initiation interval (fully pipelined critical path), realizes
- * DRAM traffic through the registered MemoryStages, and accumulates
- * each stage's occupancy / energy / traffic, exported into a StatSet
- * under `stage.<name>.*` by exportStats().
- * Transforms (cascade pruning, progressive quantization) run between
- * layers and mutate only the context — pruning is a graph transform,
- * not inline arithmetic in a monolithic run() loop.
+ * A StageGraph is an ordered set of StageModels. One runLayer() call
+ * enters the layer on the per-request ExecutionContext (which publishes
+ * the layer's pruning ratios and plane widths), evaluates every stage
+ * against it, combines their occupancies into the layer's initiation
+ * interval (fully pipelined critical path), realizes DRAM traffic
+ * through the registered MemoryStages, accumulates each stage's
+ * occupancy / energy / traffic — exported into a StatSet under
+ * `stage.<name>.*` by exportStats() — and leaves the layer, applying
+ * the cascade shrink to the context.
  */
 #ifndef SPATTEN_SIM_STAGE_GRAPH_HPP
 #define SPATTEN_SIM_STAGE_GRAPH_HPP
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,21 +24,6 @@
 #include "sim/stats.hpp"
 
 namespace spatten {
-
-/**
- * A between-layer rewrite of the execution context. prepare() runs
- * before each layer is evaluated (e.g. to publish this layer's pruning
- * ratio or the pass's quantization plane widths); apply() runs after
- * (e.g. to shrink the alive token/head counts).
- */
-class GraphTransform
-{
-  public:
-    virtual ~GraphTransform() = default;
-    virtual std::string name() const = 0;
-    virtual void prepare(ExecutionContext& ctx) = 0;
-    virtual void apply(ExecutionContext& ctx) = 0;
-};
 
 /** Cost outcome of one layer pass. */
 struct LayerCost
@@ -54,7 +37,7 @@ struct LayerCost
     double pv_macs = 0;         ///< Executed prob x V MACs.
 };
 
-/** The stage graph. Stages and transforms are registered once per run. */
+/** The stage graph. Stages are registered once per request. */
 class StageGraph
 {
   public:
@@ -70,9 +53,6 @@ class StageGraph
 
     /** Register a stage that also realizes DRAM traffic. */
     void addMemoryStage(MemoryStage* stage, TrafficSink sink = nullptr);
-
-    /** Append a between-layer transform. */
-    void addTransform(std::unique_ptr<GraphTransform> transform);
 
     /**
      * Per-stage observable effects of one layer evaluation, captured so
@@ -98,10 +78,10 @@ class StageGraph
     };
 
     /**
-     * Evaluate one layer: run every transform's prepare(), price every
-     * stage, realize memory traffic, account time/energy/stats, then run
-     * every transform's apply() and advance ctx.layer. When @p record is
-     * non-null, the layer's accounting effects are captured for replay.
+     * Evaluate one layer: ctx.beginLayer(), price every stage, realize
+     * memory traffic, account time/energy/stats, then ctx.endLayer().
+     * When @p record is non-null, the layer's accounting effects are
+     * captured for replay.
      */
     LayerCost runLayer(ExecutionContext& ctx,
                        LayerReplayRecord* record = nullptr);
@@ -109,10 +89,10 @@ class StageGraph
     /**
      * Re-apply a recorded layer's accounting (time, bounds, DRAM clock,
      * activity, per-stage counters, traffic sinks) without evaluating
-     * stages or transforms. The caller owns the validity argument: the
-     * record must have been captured at an identical context and
-     * identical relative memory-system state (AttentionGraph's decode
-     * step memo checks both).
+     * stages or touching a context. The caller owns the validity
+     * argument: the record must have been captured at an identical
+     * context and identical relative memory-system state
+     * (DecodeSession's decode-step memo checks both).
      */
     LayerCost replayLayer(const LayerReplayRecord& rec);
 
@@ -177,7 +157,6 @@ class StageGraph
     double priceActivityPj(const ActivityCounts& act) const;
 
     std::vector<Entry> stages_;
-    std::vector<std::unique_ptr<GraphTransform>> transforms_;
     double core_freq_ghz_;
     double dram_freq_ghz_;
     EnergyConfig energy_cfg_;

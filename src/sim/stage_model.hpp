@@ -18,9 +18,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/math_util.hpp"
-#include "common/prng.hpp"
 #include "energy/energy_model.hpp"
 #include "sim/clock.hpp"
 #include "sim/survivor_index.hpp"
@@ -31,7 +31,8 @@ namespace spatten {
  * Number of tokens/heads/rows surviving one pruning round: keep
  * ceil(alive * (1 - ratio)), ratio clamped to [_, 1], never below one
  * survivor. The single definition of this rounding rule — cascade
- * transforms and local value pruning both call it.
+ * token/head pruning (ExecutionContext::endLayer) and local value
+ * pruning both call it.
  */
 inline std::size_t
 pruneSurvivors(std::size_t alive, double ratio)
@@ -46,12 +47,15 @@ pruneSurvivors(std::size_t alive, double ratio)
 /**
  * Per-request execution state threaded through the stage graph.
  *
- * The context carries three kinds of state: the static request shape
- * (model dims, sequence lengths, seed), the quantization plane state
- * (MSB/LSB widths and the active LSB refetch fraction for the current
- * pass), and the dynamic cascade state (alive tokens/heads, the current
- * layer, SRAM tiling). Graph transforms mutate the dynamic state between
- * layers; stages read but never write it.
+ * The context carries four kinds of state: the static request shape
+ * (model dims, sequence lengths), the quantization plane state (MSB/LSB
+ * widths and the active LSB refetch fraction for the current pass), the
+ * pruning policy (per-layer cascade ratios, local value ratio), and the
+ * dynamic cascade state (alive tokens/heads, the current layer, SRAM
+ * tiling). The policy is applied here, one layer at a time:
+ * beginLayer() publishes the layer's ratios and the pass's plane widths
+ * to the stages, endLayer() applies the cascade shrink. Stages read but
+ * never write the context.
  */
 struct ExecutionContext
 {
@@ -60,29 +64,27 @@ struct ExecutionContext
     std::size_t num_layers = 12;
     std::size_t num_heads_total = 12;
     std::size_t max_context = 1024;
-    /// Per-request PRNG seed: every stochastic stage (e.g. top-k pivot
-    /// selection) derives its stream from this, so a request simulates
-    /// bit-identically regardless of which thread or fleet slot runs it.
-    /// The current occupancy model is analytic and draws nothing, so
-    /// results are seed-independent today (pinned by tests).
-    std::uint64_t request_seed = kDefaultRequestSeed;
 
     // ---- Quantization plane state ----
     int total_bits = 32;         ///< Static on-DRAM width.
     int msb_bits = 32;           ///< Eagerly fetched MSB plane width.
     int lsb_bits = 0;            ///< On-demand LSB plane width.
     double lsb_fraction = 0.0;   ///< Queries needing the LSB refetch.
-    /// Plane width fetched eagerly in the current pass (the progressive
-    /// quantization transform sets this: summarization fetches the full
-    /// static width, generation the MSB plane only).
+    /// Plane width fetched eagerly in the current pass (progressive
+    /// quantization, §III-D: summarization is compute-bound and fetches
+    /// the full static width once, generation the MSB plane only).
     int fetch_bits = 32;
     /// LSB refetch fraction active in the current pass (0 outside the
     /// generation stage).
     double active_lsb_fraction = 0.0;
 
-    // ---- Pruning policy mirrors ----
-    bool token_pruning = false;
-    bool head_pruning = false;
+    // ---- Pruning policy ----
+    /// Per-layer cascade token ratios (§III-A): the fraction of the
+    /// alive tokens pruned after layer l. Empty when token pruning is
+    /// off, which reads as ratio 0 on every layer.
+    std::vector<double> token_ratios;
+    /// Per-layer cascade head ratios (§III-B), same convention.
+    std::vector<double> head_ratios;
     bool local_value_pruning = false;
     double local_v_ratio = 0.0;
 
@@ -91,7 +93,7 @@ struct ExecutionContext
     /// K tiles (Q re-fetched per tile).
     std::size_t sram_tokens = 0;
 
-    // ---- Dynamic cascade state (mutated by graph transforms) ----
+    // ---- Dynamic cascade state (mutated between layers) ----
     std::size_t layer = 0;
     bool generation = false;
     std::size_t pass_queries = 0; ///< Query rows the pass was given.
@@ -103,10 +105,10 @@ struct ExecutionContext
     double head_prune_ratio = 0;  ///< This layer's cascade head ratio.
     /// CSR survivor index of the current pass: beginLayer() appends one
     /// compact row per layer (the zero-eliminator packs survivors into
-    /// contiguous slots, so ids are implicitly [0, count)), and the
-    /// cascade transforms' between-layer shrink of alive_tokens lands
-    /// in the next layer's row. Stages read their survivor count
-    /// through survivorTokens() instead of re-deriving it.
+    /// contiguous slots, so ids are implicitly [0, count)), and
+    /// endLayer()'s shrink of alive_tokens lands in the next layer's
+    /// row. Stages read their survivor count through survivorTokens()
+    /// instead of re-deriving it.
     SurvivorIndex survivors;
 
     /**
@@ -114,9 +116,9 @@ struct ExecutionContext
      * is reused across every summarization/decode step of a request
      * (rather than rebuilt per step): the pass enters with
      * @p context_len alive tokens, the full head complement, and layer 0.
-     * Static shape, plane state, and policy mirrors are untouched, so a
-     * decode step can re-enter the graph with the cascade-pruned KV
-     * length its predecessor left behind.
+     * Static shape, plane state, and policy are untouched, so a decode
+     * step can re-enter the graph with the cascade-pruned KV length its
+     * predecessor left behind.
      */
     void beginPass(std::size_t pass_q, std::size_t context_len,
                    bool generation_pass)
@@ -130,12 +132,18 @@ struct ExecutionContext
     }
 
     /**
-     * Refresh the per-layer derived state: cascade pruning caps the
-     * effective query rows at the surviving context, and local value
-     * pruning picks the V rows kept for this layer.
+     * Enter the current layer: publish its cascade ratios and the
+     * pass's quantization plane widths (generation fetches the MSB
+     * plane eagerly and refetches LSBs for lsb_fraction of the
+     * queries), cap the effective query rows at the surviving context,
+     * and pick the V rows local value pruning keeps.
      */
     void beginLayer()
     {
+        token_prune_ratio = ratioAt(token_ratios);
+        head_prune_ratio = ratioAt(head_ratios);
+        fetch_bits = generation ? msb_bits : total_bits;
+        active_lsb_fraction = generation ? lsb_fraction : 0.0;
         survivors.appendCompactLayer(alive_tokens);
         queries = std::min(pass_queries, survivorTokens());
         kept_values = local_value_pruning
@@ -144,10 +152,23 @@ struct ExecutionContext
     }
 
     /**
+     * Leave the current layer: the layer's top-k keeps
+     * pruneSurvivors(alive, ratio) tokens and heads, pruned ones stay
+     * pruned in every later layer (cascade), and the next layer begins.
+     * The token shrink lands in the next beginLayer()'s CSR row.
+     */
+    void endLayer()
+    {
+        alive_tokens = pruneSurvivors(alive_tokens, token_prune_ratio);
+        alive_heads = pruneSurvivors(alive_heads, head_prune_ratio);
+        ++layer;
+    }
+
+    /**
      * Survivors entering the current layer, read through the CSR
      * index's most recent row (appended by beginLayer, shrunk between
-     * layers by the cascade transforms). Falls back to alive_tokens
-     * for a hand-built context that never entered a layer.
+     * layers by endLayer). Falls back to alive_tokens for a hand-built
+     * context that never entered a layer.
      */
     std::size_t survivorTokens() const
     {
@@ -202,6 +223,14 @@ struct ExecutionContext
             (layer * stride + head) *
             roundUp<std::uint64_t>(max_context * bytes_per_row, 4096);
         return static_cast<std::uint64_t>(plane) * region + slot;
+    }
+
+  private:
+    /** The current layer's entry of a per-layer ratio list (0 when the
+     *  list is empty: that pruning is off). */
+    double ratioAt(const std::vector<double>& ratios) const
+    {
+        return layer < ratios.size() ? ratios[layer] : 0.0;
     }
 };
 

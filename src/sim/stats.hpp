@@ -33,7 +33,7 @@
  * kLayoutKeyBudget, so an unbounded name vocabulary (which would grow
  * O(n^2) layout keys) fails loudly instead of eating memory. StatName
  * interns once up front, so hot writers (HbmModel, StageGraph,
- * AttentionGraph::finalize) never rebuild a name string.
+ * DecodeSession::finalize) never rebuild a name string.
  *
  * Thread safety. Interning a name — constructing a StatName, or add() /
  * set() of a string name the set does not hold yet — and every layout

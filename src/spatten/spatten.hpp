@@ -13,7 +13,7 @@
 
 // Algorithms (§III).
 #include "core/attention_ref.hpp"
-#include "core/graph_transforms.hpp"
+#include "core/execution_context.hpp"
 #include "core/importance.hpp"
 #include "core/model_spec.hpp"
 #include "core/progressive_quant.hpp"

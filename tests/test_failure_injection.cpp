@@ -126,13 +126,15 @@ TEST(FailureInjection, ContextLimitThroughMakeSession)
 
 TEST(FailureInjection, BadCoreClockThroughRun)
 {
-    SpAttenConfig cfg;
-    cfg.core_freq_ghz = 0.0;
-    const SpAttenAccelerator accel(cfg);
-    WorkloadSpec w;
-    w.summarize_len = 8;
-    EXPECT_DEATH(accel.run(w, PruningPolicy::disabled()),
-                 "bad clock config");
+    // The facade rejects a clock that is not a finite positive
+    // frequency when it is built, before any session runs.
+    for (const double ghz : {0.0, -1.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+        SpAttenConfig cfg;
+        cfg.core_freq_ghz = ghz;
+        EXPECT_DEATH(SpAttenAccelerator{cfg}, "bad clock config") << ghz;
+    }
 }
 
 TEST(FailureInjection, AttentionBadHeadSplit)

@@ -1,7 +1,8 @@
 /// Stage-graph unit tests: StageModel conformance of every accel module,
 /// the ExecutionContext plane-address fix (no layer aliasing for models
-/// with > 64 heads), graph transforms, and the automatic per-stage
-/// stats landed by StageGraph.
+/// with > 64 heads), the context's per-layer policy (cascade pruning,
+/// progressive quantization), and the automatic per-stage stats landed
+/// by StageGraph.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -13,7 +14,8 @@
 #include "accel/spatten_accelerator.hpp"
 #include "accel/topk_engine.hpp"
 #include "accel/zero_eliminator.hpp"
-#include "core/graph_transforms.hpp"
+#include "core/execution_context.hpp"
+#include "core/schedule.hpp"
 
 namespace spatten {
 namespace {
@@ -150,7 +152,7 @@ TEST(ExecutionContext, BeginLayerDerivesQueriesAndKeptRows)
     EXPECT_EQ(ctx.kept_values, 100u);
 }
 
-TEST(GraphTransforms, CascadePruningShrinksAliveCounts)
+TEST(ExecutionContext, EndLayerCascadesAliveCounts)
 {
     WorkloadSpec w;
     w.model = ModelSpec::bertBase();
@@ -159,16 +161,25 @@ TEST(GraphTransforms, CascadePruningShrinksAliveCounts)
     p.token_avg_ratio = 0.25;
     p.head_avg_ratio = 0.1;
     ExecutionContext ctx = makeExecutionContext(w, p);
-    ctx.pass_queries = 256;
+    ctx.beginPass(256, 256, false);
 
-    auto transforms = makePolicyTransforms(w.model, p);
-    ASSERT_EQ(transforms.size(), 3u); // token + head + quant
+    const PruningSchedule tokens =
+        makeTokenSchedule(w.model.num_layers, p.token_avg_ratio);
+    const PruningSchedule heads =
+        makeHeadSchedule(w.model.num_layers, p.head_avg_ratio);
+    std::size_t alive_tokens = 256;
+    std::size_t alive_heads = 12;
     for (std::size_t l = 0; l < w.model.num_layers; ++l) {
-        for (auto& t : transforms)
-            t->prepare(ctx);
-        for (auto& t : transforms)
-            t->apply(ctx);
-        ++ctx.layer;
+        ctx.beginLayer();
+        EXPECT_EQ(ctx.token_prune_ratio, tokens.ratioAt(l)) << l;
+        EXPECT_EQ(ctx.head_prune_ratio, heads.ratioAt(l)) << l;
+        EXPECT_EQ(ctx.survivorTokens(), alive_tokens) << l;
+        ctx.endLayer();
+        alive_tokens = pruneSurvivors(alive_tokens, tokens.ratioAt(l));
+        alive_heads = pruneSurvivors(alive_heads, heads.ratioAt(l));
+        EXPECT_EQ(ctx.layer, l + 1);
+        EXPECT_EQ(ctx.alive_tokens, alive_tokens) << l;
+        EXPECT_EQ(ctx.alive_heads, alive_heads) << l;
     }
     EXPECT_LT(ctx.alive_tokens, 256u);
     EXPECT_LT(ctx.alive_heads, 12u);
@@ -176,7 +187,7 @@ TEST(GraphTransforms, CascadePruningShrinksAliveCounts)
     EXPECT_GE(ctx.alive_heads, 1u);
 }
 
-TEST(GraphTransforms, ProgressiveQuantSelectsPlanePerStage)
+TEST(ExecutionContext, BeginLayerSelectsPlanePerStage)
 {
     WorkloadSpec w;
     w.model = ModelSpec::gpt2Small();
@@ -186,15 +197,48 @@ TEST(GraphTransforms, ProgressiveQuantSelectsPlanePerStage)
     p.lsb_fraction = 0.059;
     ExecutionContext ctx = makeExecutionContext(w, p);
 
-    ProgressiveQuantTransform quant;
-    ctx.generation = false;
-    quant.prepare(ctx);
+    ctx.beginPass(8, 8, false);
+    ctx.beginLayer();
     EXPECT_EQ(ctx.fetch_bits, 10); // summarization: full static width
     EXPECT_DOUBLE_EQ(ctx.active_lsb_fraction, 0.0);
-    ctx.generation = true;
-    quant.prepare(ctx);
+    ctx.beginPass(1, 9, true);
+    ctx.beginLayer();
     EXPECT_EQ(ctx.fetch_bits, 6); // generation: eager MSB plane
     EXPECT_DOUBLE_EQ(ctx.active_lsb_fraction, 0.059);
+}
+
+TEST(ExecutionContext, PruningOffIgnoresItsRatio)
+{
+    // A policy that turns a pruning kind off builds no schedule for it,
+    // so a stray average ratio must not leak into the simulation: the
+    // run equals one with zero ratios bit for bit.
+    WorkloadSpec w;
+    w.name = "pruning-off";
+    w.model = ModelSpec::gpt2Small();
+    w.summarize_len = 128;
+    w.generate_len = 8;
+    PruningPolicy zero;
+    zero.token_pruning = false;
+    zero.head_pruning = false;
+    zero.token_avg_ratio = 0.0;
+    zero.head_avg_ratio = 0.0;
+    PruningPolicy stray = zero;
+    stray.token_avg_ratio = 1.5;
+    stray.head_avg_ratio = 1.5;
+
+    const ExecutionContext ctx = makeExecutionContext(w, stray);
+    EXPECT_TRUE(ctx.token_ratios.empty());
+    EXPECT_TRUE(ctx.head_ratios.empty());
+
+    const SpAttenAccelerator accel;
+    const RunResult a = accel.run(w, zero);
+    const RunResult b = accel.run(w, stray);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.seconds, b.seconds);
+    EXPECT_EQ(a.dram_bytes, b.dram_bytes);
+    EXPECT_EQ(a.attention_flops, b.attention_flops);
+    EXPECT_EQ(a.energy.totalJ(), b.energy.totalJ());
+    EXPECT_TRUE(a.stats.sameValues(b.stats));
 }
 
 TEST(StageGraph, AsymmetricSramTilesToTheSmallerBuffer)

@@ -9,7 +9,7 @@
 #include <random>
 #include <vector>
 
-#include "accel/attention_graph.hpp"
+#include "accel/decode_session.hpp"
 #include "accel/pipeline.hpp"
 #include "core/pruning.hpp"
 #include "sim/survivor_index.hpp"
@@ -100,10 +100,10 @@ TEST(SurvivorIndex, CompactRowsTrackAnalyticPassTrajectory)
     w.model = {"tiny", 6, 4, 64, 4};
     w.summarize_len = 96;
     w.generate_len = 0;
-    AttentionGraph graph(SpAttenConfig{}, w, PruningPolicy{}, 7);
+    DecodeSession session(SpAttenConfig{}, w, PruningPolicy{}, 7);
 
-    graph.runPass(w.summarize_len, w.summarize_len, false);
-    const SurvivorIndex& idx = graph.context().survivors;
+    session.prefill();
+    const SurvivorIndex& idx = session.context().survivors;
     ASSERT_EQ(idx.layers(), w.model.num_layers);
     EXPECT_FALSE(idx.materialized()); // Compact mode: implicit ids.
     EXPECT_EQ(idx.count(0), w.summarize_len);
@@ -111,8 +111,8 @@ TEST(SurvivorIndex, CompactRowsTrackAnalyticPassTrajectory)
         EXPECT_LE(idx.count(l), idx.count(l - 1));
     // The pass's final prune (after the last layer) leaves fewer
     // survivors than the last layer entered with.
-    EXPECT_LE(graph.context().alive_tokens, idx.back());
-    EXPECT_LT(graph.context().alive_tokens, w.summarize_len);
+    EXPECT_LE(session.context().alive_tokens, idx.back());
+    EXPECT_LT(session.context().alive_tokens, w.summarize_len);
 }
 
 TEST(SurvivorIndex, CompactRowsConstantWithoutPruning)
@@ -121,9 +121,9 @@ TEST(SurvivorIndex, CompactRowsConstantWithoutPruning)
     w.name = "csr-dense";
     w.model = {"tiny", 4, 4, 64, 4};
     w.summarize_len = 64;
-    AttentionGraph graph(SpAttenConfig{}, w, PruningPolicy::disabled(), 7);
-    graph.runPass(w.summarize_len, w.summarize_len, false);
-    const SurvivorIndex& idx = graph.context().survivors;
+    DecodeSession session(SpAttenConfig{}, w, PruningPolicy::disabled(), 7);
+    session.prefill();
+    const SurvivorIndex& idx = session.context().survivors;
     ASSERT_EQ(idx.layers(), w.model.num_layers);
     for (std::size_t l = 0; l < idx.layers(); ++l)
         EXPECT_EQ(idx.count(l), w.summarize_len);
@@ -136,11 +136,11 @@ TEST(SurvivorIndex, DecodePassRowStartsAtCarriedKvPlusOne)
     w.model = {"tiny", 4, 4, 64, 4};
     w.summarize_len = 64;
     w.generate_len = 4;
-    AttentionGraph graph(SpAttenConfig{}, w, PruningPolicy{}, 7);
-    graph.runPass(w.summarize_len, w.summarize_len, false);
-    const std::size_t kv = graph.context().alive_tokens;
-    graph.runPass(1, kv + 1, true);
-    EXPECT_EQ(graph.context().survivors.count(0), kv + 1);
+    DecodeSession session(SpAttenConfig{}, w, PruningPolicy{}, 7);
+    session.prefill();
+    const std::size_t kv = session.context().alive_tokens;
+    session.decodeStep();
+    EXPECT_EQ(session.context().survivors.count(0), kv + 1);
 }
 
 TEST(SurvivorIndex, HandBuiltContextFallsBackToAliveTokens)
